@@ -17,6 +17,10 @@
 //
 //	loadgen -cluster-smoke http://localhost:8081,http://localhost:8082 -sf 0.05
 //
+// With -sql the clients send SQL text instead of prepared-plan names;
+// -agg shared|partitioned adds that aggregation strategy to every SQL
+// request (empty = the server's default).
+//
 // With -bench-json, the closed-loop report is also written as a
 // machine-readable BENCH_loadgen.json into $BENCH_OUT (informational
 // metrics — wall-clock numbers are not regression-gated).
@@ -81,7 +85,6 @@ func main() {
 		intParams   = flag.String("interactive-params", "[[7], [14], [30]]", "JSON array of param sets rotated across interactive requests")
 		batchPSQL   = flag.String("batch-prepared-sql", "SELECT region, COUNT(*) AS n, SUM(amount) AS revenue FROM orders, customers WHERE cust = cid AND amount < ? GROUP BY region ORDER BY revenue DESC", "parameterized SQL for batch clients (with -sql -prepared)")
 		batchParams = flag.String("batch-params", "[[2500], [5000], [9000]]", "JSON array of param sets rotated across batch requests")
-		physical    = flag.String("physical", "", "with -sql: join algorithm sent per request: auto | hash | mpsm (empty = server default)")
 		physAgg     = flag.String("agg", "", "with -sql: aggregation strategy sent per request: auto | shared | partitioned (empty = server default)")
 		timeoutMs   = flag.Int("timeout-ms", 0, "per-query timeout (0 = server default)")
 		distributed = flag.Bool("distributed", false, "request distributed execution across the morseld cluster for every query")
@@ -165,9 +168,6 @@ func main() {
 				if params != nil {
 					req["params"] = params
 				}
-				if *physical != "" {
-					req["physical"] = *physical
-				}
 				if *physAgg != "" {
 					req["agg"] = *physAgg
 				}
@@ -175,7 +175,7 @@ func main() {
 				req["prepared"] = q
 			}
 			body, _ := json.Marshal(req)
-			key, _ := json.Marshal([]any{q, params, *physical, *physAgg})
+			key, _ := json.Marshal([]any{q, params, *physAgg})
 			items = append(items, work{key: string(key), body: body})
 		}
 		switch {
@@ -222,9 +222,6 @@ func main() {
 					log.Fatalf("cannot inline params into %q: %v", q, err)
 				}
 				ref := map[string]any{"sql": lit, "timeout_ms": *timeoutMs}
-				if *physical != "" {
-					ref["physical"] = *physical
-				}
 				if *physAgg != "" {
 					ref["agg"] = *physAgg
 				}
@@ -233,7 +230,7 @@ func main() {
 				if err != nil {
 					log.Fatalf("unprepared reference %q: %v", lit, err)
 				}
-				key, _ := json.Marshal([]any{q, ps, *physical, *physAgg})
+				key, _ := json.Marshal([]any{q, ps, *physAgg})
 				firstRows[string(key)] = rows
 			}
 		}

@@ -13,6 +13,10 @@
 //	morseld -exec 'SELECT COUNT(*) AS n FROM orders WHERE day < ?' -params '[7]'
 //	morseld -exec 'SELECT ...' -explain   # optimized plan with cardinality estimates
 //
+// Every SQL join runs as the pipelined hash join; -agg
+// auto|shared|partitioned sets the default aggregation strategy, which a
+// request's "agg" field overrides.
+//
 // With -data-dir the dataset persists across restarts: the first run
 // generates it, seals every table into an on-disk columnar snapshot
 // (zone-mapped segments, see docs/storage.md), and later runs restore
@@ -79,7 +83,6 @@ func main() {
 		dataDir    = flag.String("data-dir", "", "snapshot directory: restore the dataset from it when present, otherwise generate and seal it there")
 		snapshot   = flag.Bool("snapshot", true, "with -data-dir: seal the freshly generated dataset into the directory")
 		sortSpec   = flag.String("sort", "", "cluster one table on a column before serving, e.g. lineitem=l_shipdate (sharpens zone-map segment skipping)")
-		physical   = flag.String("physical", "auto", "default join algorithm for SQL queries: auto | hash | mpsm (requests may override with \"physical\")")
 		physAgg    = flag.String("agg", "auto", "default aggregation strategy for SQL queries: auto | shared | partitioned (requests may override with \"agg\")")
 		maxConc    = flag.Int("max-concurrent", 0, "queries admitted at once (0 = 2 x sockets)")
 		maxQueue   = flag.Int("max-queue", 64, "waiting queries before 429 (negative = none)")
@@ -91,9 +94,9 @@ func main() {
 	)
 	flag.Parse()
 
-	ph := sql.Physical{Join: *physical, Agg: *physAgg}
+	ph := sql.Physical{Agg: *physAgg}
 	if err := ph.Validate(); err != nil {
-		log.Fatalf("-physical/-agg: %v", err)
+		log.Fatalf("-agg: %v", err)
 	}
 
 	var m = core.Nehalem()

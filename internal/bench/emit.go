@@ -89,8 +89,8 @@ func ReadFile(path string) (File, error) {
 // queries the distributed smoke also gates on, plus Q14 and Q19 —
 // selective scan-heavy joins whose filters exercise the zone-map
 // pruning path — plus Q9 and Q18, the join- and aggregation-heaviest
-// queries, which keep the MPSM merge phase and partitioned-aggregation
-// paths under the trajectory gate.
+// queries, which keep long hash-join chains and many-group aggregation
+// under the trajectory gate.
 var gatedQueries = []int{1, 3, 6, 9, 12, 14, 18, 19}
 
 // PaperMetrics runs the gated experiment: TPC-H on the simulated

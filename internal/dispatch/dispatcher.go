@@ -235,7 +235,7 @@ func (d *Dispatcher) FinishStream(j *PipelineJob) {
 	if q.canceled.Load() || q.finished.Load() {
 		return
 	}
-	if j.activated.Load() && j.outstanding.Load() == 0 && j.remainingRows.Load() == 0 {
+	if j.activated.Load() && j.remainingRows.Load() == 0 && j.outstanding.Load() == 0 {
 		d.completeJobLocked(j, nil)
 	}
 	d.notifyLocked()
@@ -409,8 +409,11 @@ func (d *Dispatcher) Complete(w *Worker, t Task) {
 	}
 	if jobOut == 0 && !j.hasMorsels() {
 		d.mu.Lock()
-		// Re-check under the lock; another worker may have raced.
-		if j.outstanding.Load() == 0 && !j.hasMorsels() {
+		// Re-check under the lock; another worker may have raced. Read
+		// hasMorsels first: tryCut raises outstanding before it lowers
+		// remainingRows, so "no rows left" seen first guarantees every
+		// cut is already counted in outstanding.
+		if !j.hasMorsels() && j.outstanding.Load() == 0 {
 			d.completeJobLocked(j, w)
 		}
 		d.mu.Unlock()

@@ -239,9 +239,13 @@ func (j *PipelineJob) tryCut(bucket int) (storage.Morsel, bool) {
 				end = c.rows
 			}
 			if c.next.CompareAndSwap(cur, end) {
-				j.remainingRows.Add(-(end - cur))
+				// Raise outstanding before lowering remainingRows:
+				// a concurrent Complete that reads remainingRows == 0
+				// must already see this morsel as handed out, or it
+				// would finish the job before the morsel ran.
 				j.outstanding.Add(1)
 				j.Query.outstanding.Add(1)
+				j.remainingRows.Add(-(end - cur))
 				return storage.Morsel{Part: c.part, Begin: int(cur), End: int(end)}, true
 			}
 		}

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"math"
-
 	"repro/internal/dispatch"
 	"repro/internal/numa"
 	"repro/internal/storage"
@@ -17,234 +15,96 @@ const aggNumPartitions = 64
 // partitions. Tests shrink it to force spilling.
 var DefaultPreAggCapacity = 1 << 14
 
-// groupAcc is the aggregation state of one group: one float64 accumulator
-// per aggregate plus the group's tuple count (serving COUNT and AVG).
-type groupAcc struct {
-	accs  []float64
-	count int64
-}
-
-// spillBuf is a columnar overflow buffer of partially aggregated groups.
-type spillBuf struct {
-	keys   []string
-	accs   []float64 // nAggs values per entry
-	counts []int64
-}
-
-// aggRuntime is the shared state of one two-phase aggregation.
+// aggRuntime is the state both aggregation engines share: the typed
+// grouping and aggregate definitions, and the phase-2 job that merges one
+// hash partition per task.
 type aggRuntime struct {
+	c          *compiler
 	groups     []NamedExpr
 	groupTypes []Type
 	aggs       []AggDef
 	outTypes   []Type
-	capacity   int
-
-	locals []map[string]*groupAcc // per worker
-	spills [][]spillBuf           // [worker][partition]
 }
 
-func initAcc(aggs []AggDef) *groupAcc {
-	a := &groupAcc{accs: make([]float64, len(aggs))}
-	for i, d := range aggs {
-		switch d.Kind {
-		case AggMin:
-			a.accs[i] = math.Inf(1)
-		case AggMax:
-			a.accs[i] = math.Inf(-1)
-		}
-	}
-	return a
-}
-
-func (a *groupAcc) update(aggs []AggDef, vals []float64) {
-	for i, d := range aggs {
-		switch d.Kind {
-		case AggSum, AggAvg:
-			a.accs[i] += vals[i]
-		case AggMin:
-			if vals[i] < a.accs[i] {
-				a.accs[i] = vals[i]
-			}
-		case AggMax:
-			if vals[i] > a.accs[i] {
-				a.accs[i] = vals[i]
-			}
-		}
-	}
-	a.count++
-}
-
-func (a *groupAcc) merge(aggs []AggDef, accs []float64, count int64) {
-	for i, d := range aggs {
-		switch d.Kind {
-		case AggSum, AggAvg:
-			a.accs[i] += accs[i]
-		case AggMin:
-			if accs[i] < a.accs[i] {
-				a.accs[i] = accs[i]
-			}
-		case AggMax:
-			if accs[i] > a.accs[i] {
-				a.accs[i] = accs[i]
-			}
-		}
-	}
-	a.count += count
-}
-
-// output converts the accumulator of aggregate i to its output value.
-func (a *groupAcc) output(d AggDef, outType Type, i int) Val {
-	switch d.Kind {
-	case AggCount:
-		return Val{I: a.count}
-	case AggAvg:
-		if a.count == 0 {
-			return Val{F: 0}
-		}
-		return Val{F: a.accs[i] / float64(a.count)}
-	default:
-		if outType == TInt {
-			v := a.accs[i]
-			if math.IsInf(v, 0) {
-				v = 0 // empty MIN/MAX group (global aggregate)
-			}
-			return Val{I: int64(math.Round(v))}
-		}
-		v := a.accs[i]
-		if math.IsInf(v, 0) {
-			v = 0
-		}
-		return Val{F: v}
-	}
-}
-
-// produceAgg compiles the paper's two-phase parallel aggregation: phase 1
-// pre-aggregates heavy hitters in a fixed-size thread-local table and
-// spills cold keys to hash partitions; phase 2 assigns each partition to
-// one worker, aggregates it into a local table, and immediately pushes
-// the finished groups into the consuming pipeline while they are cache
-// hot (§4.4).
-func (c *compiler) produceAgg(n *Node, f consumerFactory) []tailJob {
-	rt := &aggRuntime{
-		groups:   n.groups,
-		aggs:     n.aggs,
-		capacity: DefaultPreAggCapacity,
-		locals:   make([]map[string]*groupAcc, c.workers),
-		spills:   make([][]spillBuf, c.workers),
-	}
+func (c *compiler) newAggRuntime(n *Node) *aggRuntime {
+	rt := &aggRuntime{c: c, groups: n.groups, aggs: n.aggs}
 	for _, g := range n.groups {
 		rt.groupTypes = append(rt.groupTypes, typeOf(g.E, n.child.out))
 	}
 	for _, a := range n.aggs {
 		rt.outTypes = append(rt.outTypes, aggOutType(a, n.child.out))
 	}
-	for w := range rt.spills {
-		rt.spills[w] = make([]spillBuf, aggNumPartitions)
+	return rt
+}
+
+func aggPartition(h uint64) int { return int(h % aggNumPartitions) }
+
+// sink compiles the phase-1 front half both engines share: per row it
+// encodes the group key into e.key, evaluates the aggregate inputs into
+// the worker's tuple scratch, charges the CPU weight, and hands the key's
+// hash and the tuple to absorb.
+func (rt *aggRuntime) sink(pc *pipeCtx, absorb func(e *Ectx, h uint64, tuple []float64)) rowFn {
+	groupFns := make([]evalFn, len(rt.groups))
+	w := 2.0
+	for i, g := range rt.groups {
+		groupFns[i], _ = g.E.compile(pc)
+		w += g.E.weight() * exprNodeWeight
 	}
 	nAggs := len(rt.aggs)
-	planDriven := c.sess.PlanDriven
-	// Note: a Volcano-style parallel aggregation exchanges *partial
-	// aggregates*, not raw input rows; that traffic and its serialized
-	// hand-off are charged by the exchange barrier below, not per row.
-
-	// ---- Phase 1 sink.
-	tails := n.child.produce(c, func(pc *pipeCtx) rowFn {
-		groupFns := make([]evalFn, len(rt.groups))
-		w := 2.0
-		for i, g := range rt.groups {
-			groupFns[i], _ = g.E.compile(pc)
-			w += g.E.weight() * exprNodeWeight
+	aggFns := make([]evalFn, nAggs)
+	aggIsFloat := make([]bool, nAggs)
+	for i, a := range rt.aggs {
+		if a.E == nil {
+			continue
 		}
-		aggFns := make([]evalFn, nAggs)
-		aggIsFloat := make([]bool, nAggs)
-		for i, a := range rt.aggs {
-			if a.E == nil {
-				continue
-			}
-			fn, t := a.E.compile(pc)
-			aggFns[i] = fn
-			aggIsFloat[i] = t == TFloat
-			w += a.E.weight() * exprNodeWeight
-		}
-		sidx := pc.addScratch(len(rt.groups))
-		rowW := rowWidth(n.out)
-		tupleScratch := make([][]float64, c.workers)
-		return func(e *Ectx) {
-			// Evaluate the group key.
-			kv := e.scratch[sidx]
-			for i, fn := range groupFns {
-				kv[i] = fn(e)
-			}
-			e.key = e.key[:0]
-			for i, t := range rt.groupTypes {
-				e.key = encodeVal(e.key, t, kv[i])
-			}
-			e.cpuUnits += w
-			wid := e.W.ID
-			local := rt.locals[wid]
-			if local == nil {
-				local = make(map[string]*groupAcc, rt.capacity)
-				rt.locals[wid] = local
-			}
-			spillCold := false
-			acc, ok := local[string(e.key)]
-			if !ok {
-				acc = initAcc(rt.aggs)
-				if len(local) < rt.capacity {
-					local[string(e.key)] = acc
-				} else {
-					spillCold = true
-				}
-			}
-			tuple := tupleScratch[wid]
-			if tuple == nil {
-				tuple = make([]float64, nAggs)
-				tupleScratch[wid] = tuple
-			}
-			for i := 0; i < nAggs; i++ {
-				tuple[i] = 0
-				if aggFns[i] != nil {
-					x := aggFns[i](e)
-					if aggIsFloat[i] {
-						tuple[i] = x.F
-					} else {
-						tuple[i] = float64(x.I)
-					}
-				}
-			}
-			acc.update(rt.aggs, tuple)
-			if spillCold {
-				// Cold key: the local table is full; route the
-				// single-tuple partial straight to its
-				// overflow partition.
-				pid := int(hashBytes(e.key) % aggNumPartitions)
-				buf := &rt.spills[wid][pid]
-				buf.keys = append(buf.keys, string(e.key))
-				buf.accs = append(buf.accs, acc.accs...)
-				buf.counts = append(buf.counts, acc.count)
-				e.writeBytes += int64(rowW)
-			}
-		}
-	})
-
-	if planDriven {
-		// Volcano: serialized hand-off of the repartitioned partial
-		// aggregates.
-		barrier := c.serialBarrier("exchange(agg)", tails, func() int64 {
-			var n int64
-			for w := range rt.spills {
-				for p := range rt.spills[w] {
-					n += int64(len(rt.spills[w][p].keys))
-				}
-				n += int64(len(rt.locals[w]))
-			}
-			return n
-		})
-		tails = []tailJob{barrier}
+		fn, t := a.E.compile(pc)
+		aggFns[i] = fn
+		aggIsFloat[i] = t == TFloat
+		w += a.E.weight() * exprNodeWeight
 	}
+	tuples := make([][]float64, rt.c.workers)
+	return func(e *Ectx) {
+		e.key = e.key[:0]
+		for i, fn := range groupFns {
+			e.key = encodeVal(e.key, rt.groupTypes[i], fn(e))
+		}
+		e.cpuUnits += w
+		tuple := tuples[e.W.ID]
+		if tuple == nil {
+			tuple = make([]float64, nAggs)
+			tuples[e.W.ID] = tuple
+		}
+		for i, fn := range aggFns {
+			switch {
+			case fn == nil:
+				tuple[i] = 0
+			case aggIsFloat[i]:
+				tuple[i] = fn(e).F
+			default:
+				tuple[i] = float64(fn(e).I)
+			}
+		}
+		absorb(e, hashBytes(e.key), tuple)
+	}
+}
 
-	// ---- Phase 2: partition-wise final aggregation, pushing results
-	// into a fresh pipeline context.
+// phase2 compiles the partition-wise final aggregation both engines
+// share: each task merges one hash partition of every worker's phase-1
+// output (source(worker, partition), nil when empty) into a worker-local
+// table and immediately pushes the finished groups into the consuming
+// pipeline while they are cache hot (§4.4). setup runs at activation,
+// after phase 1; pending reports the phase-1 entry count a plan-driven
+// exchange would hand over.
+func (rt *aggRuntime) phase2(name string, tails []tailJob, f consumerFactory,
+	setup func(), pending func() int64, source func(wid, pid int) *groupRows) []tailJob {
+	c := rt.c
+	if c.sess.PlanDriven {
+		// Volcano: serialized hand-off of the repartitioned partial
+		// aggregates. A Volcano-style parallel aggregation exchanges
+		// partial aggregates, not raw input rows, so the traffic is
+		// charged here, not per row.
+		tails = []tailJob{c.serialBarrier("exchange(agg)", tails, pending)}
+	}
 	pc2 := c.newPipe()
 	for i, g := range rt.groups {
 		pc2.addReg(g.Name, rt.groupTypes[i])
@@ -254,21 +114,13 @@ func (c *compiler) produceAgg(n *Node, f consumerFactory) []tailJob {
 	}
 	down := f(pc2)
 	sockets := c.sockets
-	var drv *driver
 	globalAgg := len(rt.groups) == 0
-	phase2 := c.q.AddJob("aggregate",
+	merged := make([]*groupTable, c.workers) // per worker, reused across its tasks
+	var drv *driver
+	job := c.q.AddJob(name,
 		func() []*storage.Partition {
-			// Flush every worker's pre-aggregation table into the
-			// overflow partitions; afterwards the partitions hold
-			// the complete grouped data.
-			for wid, local := range rt.locals {
-				for key, acc := range local {
-					pid := int(hashBytes([]byte(key)) % aggNumPartitions)
-					buf := &rt.spills[wid][pid]
-					buf.keys = append(buf.keys, key)
-					buf.accs = append(buf.accs, acc.accs...)
-					buf.counts = append(buf.counts, acc.count)
-				}
+			if setup != nil {
+				setup()
 			}
 			nPart := aggNumPartitions
 			if globalAgg {
@@ -280,50 +132,137 @@ func (c *compiler) produceAgg(n *Node, f consumerFactory) []tailJob {
 			return drv.parts
 		},
 		func(w *dispatch.Worker, m storage.Morsel) {
-			pid := drv.task(m)
+			lo := drv.task(m)
+			hi := lo + 1
+			if globalAgg {
+				hi = aggNumPartitions // the single task merges everything
+			}
 			e := pc2.ectx(w)
 			e.reset(w)
-			merged := make(map[string]*groupAcc)
+			tab := merged[w.ID]
+			if tab == nil {
+				tab = newGroupTable(rt.aggs)
+				merged[w.ID] = tab
+			}
+			tab.reset()
 			topo := w.Tracker.Machine().Topo
-			for wid := range rt.spills {
+			for wid := 0; wid < c.workers; wid++ {
 				var readBytes int64
-				if globalAgg {
-					// Single partition: merge all.
-					for p := range rt.spills[wid] {
-						readBytes += mergeSpill(merged, &rt.spills[wid][p], rt, nAggs)
+				for pid := lo; pid < hi; pid++ {
+					if src := source(wid, pid); src != nil {
+						readBytes += tab.mergeFrom(src)
 					}
-				} else {
-					readBytes += mergeSpill(merged, &rt.spills[wid][pid], rt, nAggs)
 				}
-				// The spill buffers of worker `wid` live on its
-				// socket; phase 2 pulls them across the fabric.
+				// Worker wid's phase-1 output lives on its socket;
+				// phase 2 pulls it across the fabric.
 				w.Tracker.ReadSeq(topo.Place(wid).Socket, readBytes)
 			}
-			if globalAgg && len(merged) == 0 {
-				// SQL semantics: a global aggregate over zero
-				// rows still yields one row.
-				merged[""] = initAcc(rt.aggs)
+			if globalAgg && tab.len() == 0 {
+				// SQL semantics: a global aggregate over zero rows
+				// still yields one row.
+				tab.insert(hashBytes(nil), nil)
 			}
-			e.cpuUnits += float64(len(merged)) * 2
-			for key, acc := range merged {
-				buf := []byte(key)
+			e.cpuUnits += float64(tab.len()) * 2
+			nGroups := len(rt.groupTypes)
+			for g := 0; g < tab.len(); g++ {
+				key := tab.key(g)
 				for i, t := range rt.groupTypes {
-					e.Regs[i], buf = decodeVal(buf, t)
+					e.Regs[i], key = decodeVal(key, t)
 				}
-				for i, a := range rt.aggs {
-					e.Regs[len(rt.groupTypes)+i] = acc.output(a, rt.outTypes[i], i)
+				for i := range rt.aggs {
+					e.Regs[nGroups+i] = tab.output(g, i, rt.outTypes[i])
 				}
 				e.cpuUnits += 2
 				down(e)
 			}
 			e.flush()
 		})
-	phase2.After(tails...).WithMorselRows(1)
+	job.After(tails...).WithMorselRows(1)
 	// Downstream operators compiled into the phase-2 pipeline may have
 	// their own prerequisites (e.g. a probe whose hash table must be
 	// built first).
-	phase2.After(pc2.deps...)
-	return []tailJob{phase2}
+	job.After(pc2.deps...)
+	return []tailJob{job}
+}
+
+// produceAgg compiles the paper's two-phase parallel aggregation: phase 1
+// pre-aggregates heavy hitters in a fixed-size thread-local table and
+// spills cold keys to hash partitions; phase 2 assigns each partition to
+// one worker (§4.4).
+func (c *compiler) produceAgg(n *Node, f consumerFactory) []tailJob {
+	rt := c.newAggRuntime(n)
+	capacity := DefaultPreAggCapacity
+	locals := make([]*groupTable, c.workers)
+	spills := make([][]groupRows, c.workers) // [worker][partition]
+	spillOf := func(wid, pid int) *groupRows {
+		if spills[wid] == nil {
+			spills[wid] = make([]groupRows, aggNumPartitions)
+			for p := range spills[wid] {
+				spills[wid][p].aggs = rt.aggs
+			}
+		}
+		return &spills[wid][pid]
+	}
+	rowW := int64(rowWidth(n.out))
+
+	tails := n.child.produce(c, func(pc *pipeCtx) rowFn {
+		return rt.sink(pc, func(e *Ectx, h uint64, tuple []float64) {
+			wid := e.W.ID
+			local := locals[wid]
+			if local == nil {
+				local = newGroupTable(rt.aggs)
+				locals[wid] = local
+			}
+			g := local.find(h, e.key)
+			if g < 0 {
+				if local.len() >= capacity {
+					// Cold key: the local table is full; route the
+					// single-tuple partial straight to its overflow
+					// partition, without creating a group.
+					buf := spillOf(wid, aggPartition(h))
+					buf.merge(buf.add(h, e.key), tuple, 1)
+					e.writeBytes += rowW
+					return
+				}
+				g = local.insert(h, e.key)
+			}
+			local.merge(g, tuple, 1)
+		})
+	})
+
+	return rt.phase2("aggregate", tails, f,
+		func() {
+			// Flush every worker's pre-aggregation table into the
+			// overflow partitions; afterwards the partitions hold the
+			// complete grouped data.
+			for wid, local := range locals {
+				if local == nil {
+					continue
+				}
+				for g, h := range local.hashes {
+					buf := spillOf(wid, aggPartition(h))
+					buf.merge(buf.add(h, local.key(g)), local.accsOf(g), local.counts[g])
+				}
+			}
+		},
+		func() int64 {
+			var total int64
+			for wid := range spills {
+				for p := range spills[wid] {
+					total += int64(spills[wid][p].len())
+				}
+				if locals[wid] != nil {
+					total += int64(locals[wid].len())
+				}
+			}
+			return total
+		},
+		func(wid, pid int) *groupRows {
+			if spills[wid] == nil {
+				return nil
+			}
+			return &spills[wid][pid]
+		})
 }
 
 // producePartitionedAgg compiles the partitioned aggregation alternative
@@ -331,185 +270,57 @@ func (c *compiler) produceAgg(n *Node, f consumerFactory) []tailJob {
 // Systems"): phase 1 routes every group straight into one of
 // aggNumPartitions per-worker tables selected by the group hash — no
 // capacity cap and no separate spill path, trading per-worker memory for
-// never evicting hot keys; phase 2 assigns each partition to one worker,
-// merges that partition's per-worker tables, and pushes finished groups
-// downstream while cache hot. The physical-selection phase picks it for
-// high group cardinality, where the shared table's capacity cap would
-// spill most keys as single-tuple partials anyway.
+// never evicting hot keys; phase 2 is the shared engine's. The
+// physical-selection phase picks it for high group cardinality, where the
+// shared table's capacity cap would spill most keys as single-tuple
+// partials anyway.
 func (c *compiler) producePartitionedAgg(n *Node, f consumerFactory) []tailJob {
 	if len(n.groups) == 0 {
 		panic("engine: partitioned aggregation requires group keys")
 	}
-	rt := &aggRuntime{groups: n.groups, aggs: n.aggs}
-	for _, g := range n.groups {
-		rt.groupTypes = append(rt.groupTypes, typeOf(g.E, n.child.out))
-	}
-	for _, a := range n.aggs {
-		rt.outTypes = append(rt.outTypes, aggOutType(a, n.child.out))
-	}
-	nAggs := len(rt.aggs)
+	rt := c.newAggRuntime(n)
 	// parts[worker][partition] is a private table: workers never share
 	// tables in phase 1, partitions never share workers in phase 2.
-	parts := make([][]map[string]*groupAcc, c.workers)
+	parts := make([][]*groupTable, c.workers)
+	rowW := int64(rowWidth(n.out))
 
-	// ---- Phase 1 sink: partition by group hash up front.
 	tails := n.child.produce(c, func(pc *pipeCtx) rowFn {
-		groupFns := make([]evalFn, len(rt.groups))
-		w := 2.0
-		for i, g := range rt.groups {
-			groupFns[i], _ = g.E.compile(pc)
-			w += g.E.weight() * exprNodeWeight
-		}
-		aggFns := make([]evalFn, nAggs)
-		aggIsFloat := make([]bool, nAggs)
-		for i, a := range rt.aggs {
-			if a.E == nil {
-				continue
-			}
-			fn, t := a.E.compile(pc)
-			aggFns[i] = fn
-			aggIsFloat[i] = t == TFloat
-			w += a.E.weight() * exprNodeWeight
-		}
-		sidx := pc.addScratch(len(rt.groups))
-		rowW := rowWidth(n.out)
-		tupleScratch := make([][]float64, c.workers)
-		return func(e *Ectx) {
-			kv := e.scratch[sidx]
-			for i, fn := range groupFns {
-				kv[i] = fn(e)
-			}
-			e.key = e.key[:0]
-			for i, t := range rt.groupTypes {
-				e.key = encodeVal(e.key, t, kv[i])
-			}
-			e.cpuUnits += w
+		return rt.sink(pc, func(e *Ectx, h uint64, tuple []float64) {
 			wid := e.W.ID
-			tabs := parts[wid]
-			if tabs == nil {
-				tabs = make([]map[string]*groupAcc, aggNumPartitions)
-				parts[wid] = tabs
+			if parts[wid] == nil {
+				parts[wid] = make([]*groupTable, aggNumPartitions)
 			}
-			pid := int(hashBytes(e.key) % aggNumPartitions)
-			tab := tabs[pid]
+			pid := aggPartition(h)
+			tab := parts[wid][pid]
 			if tab == nil {
-				tab = make(map[string]*groupAcc)
-				tabs[pid] = tab
+				tab = newGroupTable(rt.aggs)
+				parts[wid][pid] = tab
 			}
-			acc, ok := tab[string(e.key)]
-			if !ok {
-				acc = initAcc(rt.aggs)
-				tab[string(e.key)] = acc
-				e.writeBytes += int64(rowW)
+			g := tab.find(h, e.key)
+			if g < 0 {
+				g = tab.insert(h, e.key)
+				e.writeBytes += rowW
 			}
-			tuple := tupleScratch[wid]
-			if tuple == nil {
-				tuple = make([]float64, nAggs)
-				tupleScratch[wid] = tuple
-			}
-			for i := 0; i < nAggs; i++ {
-				tuple[i] = 0
-				if aggFns[i] != nil {
-					x := aggFns[i](e)
-					if aggIsFloat[i] {
-						tuple[i] = x.F
-					} else {
-						tuple[i] = float64(x.I)
-					}
-				}
-			}
-			acc.update(rt.aggs, tuple)
-		}
+			tab.merge(g, tuple, 1)
+		})
 	})
 
-	if c.sess.PlanDriven {
-		barrier := c.serialBarrier("exchange(agg)", tails, func() int64 {
+	return rt.phase2("aggregate-part", tails, f, nil,
+		func() int64 {
 			var total int64
 			for wid := range parts {
 				for _, tab := range parts[wid] {
-					total += int64(len(tab))
+					if tab != nil {
+						total += int64(tab.len())
+					}
 				}
 			}
 			return total
-		})
-		tails = []tailJob{barrier}
-	}
-
-	// ---- Phase 2: per-partition merge of the per-worker tables.
-	pc2 := c.newPipe()
-	for i, g := range rt.groups {
-		pc2.addReg(g.Name, rt.groupTypes[i])
-	}
-	for i, a := range rt.aggs {
-		pc2.addReg(a.Name, rt.outTypes[i])
-	}
-	down := f(pc2)
-	sockets := c.sockets
-	var drv *driver
-	phase2 := c.q.AddJob("aggregate-part",
-		func() []*storage.Partition {
-			drv = newDriver(aggNumPartitions, func(i int) numa.SocketID {
-				return numa.SocketID(i % sockets)
-			})
-			return drv.parts
 		},
-		func(w *dispatch.Worker, m storage.Morsel) {
-			pid := drv.task(m)
-			e := pc2.ectx(w)
-			e.reset(w)
-			merged := make(map[string]*groupAcc)
-			topo := w.Tracker.Machine().Topo
-			for wid := range parts {
-				if parts[wid] == nil {
-					continue
-				}
-				tab := parts[wid][pid]
-				if len(tab) == 0 {
-					continue
-				}
-				var readBytes int64
-				for key, acc := range tab {
-					dst, ok := merged[key]
-					if !ok {
-						dst = initAcc(rt.aggs)
-						merged[key] = dst
-					}
-					dst.merge(rt.aggs, acc.accs, acc.count)
-					readBytes += int64(len(key)) + int64(8*nAggs) + 8
-				}
-				// Worker wid's tables live on its socket; the merge
-				// pulls them across the fabric.
-				w.Tracker.ReadSeq(topo.Place(wid).Socket, readBytes)
+		func(wid, pid int) *groupRows {
+			if parts[wid] == nil || parts[wid][pid] == nil {
+				return nil
 			}
-			e.cpuUnits += float64(len(merged)) * 2
-			for key, acc := range merged {
-				buf := []byte(key)
-				for i, t := range rt.groupTypes {
-					e.Regs[i], buf = decodeVal(buf, t)
-				}
-				for i, a := range rt.aggs {
-					e.Regs[len(rt.groupTypes)+i] = acc.output(a, rt.outTypes[i], i)
-				}
-				e.cpuUnits += 2
-				down(e)
-			}
-			e.flush()
+			return &parts[wid][pid].groupRows
 		})
-	phase2.After(tails...).WithMorselRows(1)
-	phase2.After(pc2.deps...)
-	return []tailJob{phase2}
-}
-
-func mergeSpill(merged map[string]*groupAcc, buf *spillBuf, rt *aggRuntime, nAggs int) int64 {
-	var bytes int64
-	for i, key := range buf.keys {
-		acc, ok := merged[key]
-		if !ok {
-			acc = initAcc(rt.aggs)
-			merged[key] = acc
-		}
-		acc.merge(rt.aggs, buf.accs[i*nAggs:(i+1)*nAggs], buf.counts[i])
-		bytes += int64(len(key)) + int64(8*nAggs) + 8
-	}
-	return bytes
 }

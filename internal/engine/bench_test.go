@@ -113,3 +113,57 @@ func BenchmarkTopK(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHashJoinProbeIntKey is the before/after for the typed key
+// hash: a 100k-row int-keyed build probed by 400k rows, every probe
+// hashing its key and comparing it against the build tuple's key column.
+func BenchmarkHashJoinProbeIntKey(b *testing.B) {
+	probe := benchTable(400_000)
+	build := benchTable(100_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := benchSession()
+		p := NewPlan("bench")
+		bs := p.Scan(build, "k AS bk", "g AS bg")
+		p.Return(p.Scan(probe, "k").
+			HashJoin(bs, JoinInner, []*Expr{Col("k")}, []*Expr{Col("bk")}, "bg").
+			GroupBy(nil, []AggDef{Count("n")}))
+		res, _ := s.Run(p)
+		if res.Rows()[0][0].I != 100_000 {
+			b.Fatalf("join count %d", res.Rows()[0][0].I)
+		}
+	}
+}
+
+// BenchmarkGroupByHighCard is the before/after for the group table:
+// 400k rows into 100k groups, so the shared engine runs its cold path
+// (the pre-aggregation table holds 16k groups) and the partitioned engine
+// creates a group for a quarter of its input.
+func BenchmarkGroupByHighCard(b *testing.B) {
+	tb := storage.NewBuilder("bench", storage.Schema{
+		{Name: "hk", Type: storage.I64},
+		{Name: "v", Type: storage.F64},
+	}, 16, "hk")
+	for i := 0; i < 400_000; i++ {
+		tb.Append(storage.Row{int64(i % 100_000), float64(i%1000) / 3})
+	}
+	tbl := tb.Build(storage.NUMAAware, 4)
+	for _, algo := range []AggAlgo{AggShared, AggPartitioned} {
+		b.Run(algo.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := benchSession()
+				p := NewPlan("bench")
+				p.Return(p.Scan(tbl, "hk", "v").
+					GroupBy([]NamedExpr{N("hk", Col("hk"))},
+						[]AggDef{Count("n"), Sum("s", Col("v")), MaxOf("m", Col("v"))}).
+					WithAggAlgo(algo))
+				res, _ := s.Run(p)
+				if res.NumRows() != 100_000 {
+					b.Fatalf("groups %d", res.NumRows())
+				}
+			}
+		})
+	}
+}

@@ -2,13 +2,11 @@ package engine
 
 import "math"
 
-// This file is the one shared definition of the engine's value ordering.
-// The parallel sort (sort.go), the MPSM join's run sort and its
-// range-partitioned merge (mpsm.go) all partition work by binary-searching
-// sorted runs against separator keys, so they must agree on a single
-// strict weak ordering — in particular on where NaN sorts. Keeping the
-// comparison here means a future change (collations, NULL ordering)
-// cannot drift between the operators.
+// This file is the one definition of the engine's value ordering. The
+// parallel sort (sort.go) partitions work by binary-searching sorted runs
+// against separator keys, so its local sorts and its range-partitioned
+// merge must agree on a single strict weak ordering — in particular on
+// where NaN sorts.
 
 // compareVal three-way compares two values of one register type. Floats
 // follow the NaN-last convention: NaN orders after every number and ties
@@ -57,18 +55,4 @@ func compareVal(t Type, a, b Val) (c int, nanOrder bool) {
 		}
 		return 0, false
 	}
-}
-
-// compareKeyTuple three-way compares the key tuples starting at aOff in a
-// and bOff in b, all keys ascending (the MPSM run/merge ordering). NaN
-// keys order last and tie with each other; equality here is ordering
-// equality, not join-match equality — callers emitting join matches must
-// still reject NaN key groups (IEEE: NaN = NaN is false).
-func compareKeyTuple(types []Type, a []Val, aOff int, b []Val, bOff int) int {
-	for i, t := range types {
-		if c, _ := compareVal(t, a[aOff+i], b[bOff+i]); c != 0 {
-			return c
-		}
-	}
-	return 0
 }

@@ -203,9 +203,6 @@ func (n *Node) produce(c *compiler, f consumerFactory) []tailJob {
 			}
 		})
 	case nJoin:
-		if n.joinAlgo == AlgoMPSM {
-			return c.produceMergeJoin(n, f)
-		}
 		return c.produceJoin(n, f)
 	case nAgg:
 		if n.aggAlgo == AggPartitioned {
@@ -423,14 +420,7 @@ func (s *Session) CompileSnap(p *Plan, snap *storage.Snap) *Compiled {
 		snap:  snap,
 	}
 	cp := &Compiled{Query: c.q, Plan: p}
-	if len(p.sortKeys) > 0 && p.sortElided {
-		// The physical plan already emits rows in key order over ranked
-		// disjoint ranges (MPSM merge output): collect in rank order
-		// instead of sorting.
-		sink := newOrderedSink(p.root.out, workers, p.limit)
-		p.root.produce(c, sink.factory)
-		cp.collect = sink.collect
-	} else if len(p.sortKeys) > 0 {
+	if len(p.sortKeys) > 0 {
 		cp.collect = c.compileSorted(p)
 	} else {
 		sink := newResultSink(p.root.out, workers)

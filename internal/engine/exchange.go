@@ -79,7 +79,7 @@ const (
 // this exchange edge. Streamed edges hand rows to the consumer as they
 // arrive (no stage barrier); barrier edges buffer until the producing
 // side finished — required when the consumer's semantics need all input
-// up front (sort, MPSM runs, Materialize).
+// up front (sort, Materialize).
 func (n *Node) MarkStreamed(streamed bool) *Node {
 	if n.kind != nExchange {
 		panic("engine: MarkStreamed on a non-exchange node")

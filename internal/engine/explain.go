@@ -142,13 +142,6 @@ func (p *Plan) Explain() string {
 			}
 		}
 		b.WriteByte(']')
-		if p.sortElided {
-			s := " (elided"
-			if p.elideWhy != "" {
-				s += ": " + p.elideWhy
-			}
-			b.WriteString(s + ")")
-		}
 	}
 	if p.limit > 0 {
 		fmt.Fprintf(&b, " limit %d", p.limit)
@@ -221,21 +214,12 @@ func describeNode(n *Node) string {
 			}
 			fmt.Fprintf(&kb, "%s = %s", n.probeKeys[i], n.buildKeys[i])
 		}
-		// The hash join keeps its historical "hashjoin" marker so existing
-		// plan pins stay valid; MPSM renders its own marker.
-		op := "hashjoin"
-		if n.joinAlgo == AlgoMPSM {
-			op = "join mpsm"
-		}
-		s := fmt.Sprintf("%s %s on [%s]", op, n.joinKind, kb.String())
+		s := fmt.Sprintf("hashjoin %s on [%s]", n.joinKind, kb.String())
 		if len(n.payload) > 0 {
 			s += fmt.Sprintf(" payload=%v", n.payload)
 		}
 		if n.residual != nil {
 			s += " residual: " + n.residual.String()
-		}
-		if n.physWhy != "" {
-			s += " " + n.physWhy
 		}
 		return s
 	case nAgg:

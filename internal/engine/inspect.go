@@ -128,7 +128,6 @@ func (n *Node) MapInfo() NamedExpr {
 // JoinInfo describes a join for plan rewriting.
 type JoinInfo struct {
 	Kind      JoinKind
-	Algo      JoinAlgo
 	ProbeKeys []*Expr
 	BuildKeys []*Expr
 	// Payload lists build columns carried into the output; for semi/anti
@@ -143,7 +142,7 @@ func (n *Node) JoinInfo() JoinInfo {
 		panic("engine: JoinInfo on " + n.Kind().String())
 	}
 	return JoinInfo{
-		Kind: n.joinKind, Algo: n.joinAlgo, ProbeKeys: n.probeKeys, BuildKeys: n.buildKeys,
+		Kind: n.joinKind, ProbeKeys: n.probeKeys, BuildKeys: n.buildKeys,
 		Payload: n.payload, Residual: n.residual,
 	}
 }

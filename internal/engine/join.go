@@ -42,17 +42,6 @@ func decodeRef(r hashtable.Ref) (worker, row int) {
 	return int(uint64(r)>>32) - 1, int(uint32(uint64(r)))
 }
 
-// hashKey encodes the given key values and hashes them. The byte buffer
-// is transient (not live across downstream calls), so sharing it per
-// context is safe.
-func (e *Ectx) hashKey(types []Type, kv []Val) uint64 {
-	e.key = e.key[:0]
-	for i, t := range types {
-		e.key = encodeVal(e.key, t, kv[i])
-	}
-	return hashBytes(e.key)
-}
-
 // produceJoin compiles build side then probe side. The build is the
 // paper's two-phase algorithm: phase 1 materializes filtered build tuples
 // into per-worker NUMA-local areas (no synchronization); phase 2 scans
@@ -118,7 +107,7 @@ func (c *compiler) produceJoin(n *Node, f consumerFactory) []tailJob {
 				kv[i] = fn(e)
 				appendVal(cols[rt.idxKey+i], types[i], kv[i])
 			}
-			h := e.hashKey(types, kv)
+			h := hashVals(types, kv)
 			cols[rt.idxHash].AppendI64(int64(h))
 			cols[rt.idxNext].AppendI64(0)
 			cols[rt.idxMark].AppendI64(0)
@@ -208,7 +197,7 @@ func (c *compiler) produceJoin(n *Node, f consumerFactory) []tailJob {
 			for i, fn := range keyFns {
 				kv[i] = fn(e)
 			}
-			h := e.hashKey(types, kv)
+			h := hashVals(types, kv)
 			e.cpuUnits += 1 + keyW
 			if rt.cacheResident {
 				e.cpuUnits += 2 // L3 hit

@@ -202,7 +202,7 @@ func (p *Plan) BindArgs(args ...any) (*Plan, error) {
 		vals[i] = v
 	}
 	b := &planBinder{vals: vals, types: types, nodes: map[*Node]*Node{}}
-	np := &Plan{Name: p.Name, sortKeys: p.sortKeys, limit: p.limit, sortElided: p.sortElided, elideWhy: p.elideWhy}
+	np := &Plan{Name: p.Name, sortKeys: p.sortKeys, limit: p.limit}
 	b.plan = np
 	np.root = b.node(p.root)
 	return np, nil

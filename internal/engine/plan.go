@@ -19,15 +19,6 @@ type Plan struct {
 	sortKeys []SortKey
 	limit    int
 
-	// sortElided marks a terminal ORDER BY satisfied for free by the
-	// plan's physical operators (an MPSM merge join already emits rows in
-	// key order): the sort keys stay on the plan for documentation and
-	// wire round-tripping, but compilation collects the ranges in order
-	// instead of running the parallel sort. elideWhy is the optimizer's
-	// rationale, rendered by Explain.
-	sortElided bool
-	elideWhy   string
-
 	// paramTypes memoizes ParamTypes so per-request binding of cached
 	// plan templates does not re-walk the operator DAG.
 	paramTypes atomic.Pointer[paramTypesMemo]
@@ -104,33 +95,6 @@ const (
 	// are emitted with zero-valued payload (probe-side outer join).
 	JoinOuterProbe
 )
-
-// JoinAlgo selects the physical join implementation. The logical join
-// semantics (JoinKind) are identical under every algorithm; the choice
-// is a cost decision made by optimizer layers above the engine.
-type JoinAlgo uint8
-
-const (
-	// AlgoHash is the default hash join (§4.1).
-	AlgoHash JoinAlgo = iota
-	// AlgoMPSM is the massively-parallel sort-merge join (Albutiu et
-	// al.): NUMA-local sorted runs on both sides, range-partitioned
-	// merge. Output is ordered by the join keys. Mark joins are not
-	// supported (the Unmatched scan reads hash-table mark state).
-	AlgoMPSM
-)
-
-// String names the join algorithm for Explain output.
-func (a JoinAlgo) String() string {
-	switch a {
-	case AlgoHash:
-		return "hash"
-	case AlgoMPSM:
-		return "mpsm"
-	default:
-		return fmt.Sprintf("JoinAlgo(%d)", uint8(a))
-	}
-}
 
 // AggAlgo selects the physical aggregation implementation.
 type AggAlgo uint8
@@ -219,15 +183,14 @@ type Node struct {
 	buildKeys []*Expr
 	payload   []string
 	joinKind  JoinKind
-	joinAlgo  JoinAlgo
 	residual  *Expr
 
 	// aggregation algorithm (nAgg)
 	aggAlgo AggAlgo
 
-	// physWhy is the physical-selection rationale for this operator
-	// (joins and aggregations), rendered by Explain so cost decisions
-	// are pinnable in tests. Empty for hand-built plans.
+	// physWhy is the physical-selection rationale for this aggregation,
+	// rendered by Explain so cost decisions are pinnable in tests. Empty
+	// for hand-built plans.
 	physWhy string
 
 	// unmatched scan
@@ -378,23 +341,6 @@ func (n *Node) HashJoin(build *Node, kind JoinKind, probeKeys, buildKeys []*Expr
 	}
 }
 
-// WithJoinAlgo selects the physical join algorithm. Mark joins must stay
-// hash joins: their Unmatched scan reads the hash table's mark column.
-func (n *Node) WithJoinAlgo(a JoinAlgo) *Node {
-	if n.kind != nJoin {
-		panic("engine: WithJoinAlgo on non-join")
-	}
-	if a == AlgoMPSM && n.joinKind == JoinMark {
-		panic("engine: mark joins do not support the MPSM algorithm")
-	}
-	n.joinAlgo = a
-	return n
-}
-
-// JoinAlgoOf returns the node's physical join algorithm (AlgoHash unless
-// overridden).
-func (n *Node) JoinAlgoOf() JoinAlgo { return n.joinAlgo }
-
 // WithAggAlgo selects the physical aggregation algorithm. Global
 // aggregates (no group keys) always use the shared path — there is only
 // one group, so partitioning is meaningless.
@@ -409,12 +355,12 @@ func (n *Node) WithAggAlgo(a AggAlgo) *Node {
 	return n
 }
 
-// WithPhysNote records the physical-operator-selection rationale; Explain
+// WithPhysNote records the aggregation-strategy rationale; Explain
 // renders it after the operator description so plan pins can assert the
 // cost justification, not just the outcome.
 func (n *Node) WithPhysNote(why string) *Node {
-	if n.kind != nJoin && n.kind != nAgg {
-		panic("engine: WithPhysNote applies to joins and aggregations")
+	if n.kind != nAgg {
+		panic("engine: WithPhysNote applies to aggregations")
 	}
 	n.physWhy = why
 	return n
@@ -570,25 +516,6 @@ func (p *Plan) ReturnSorted(n *Node, limit int, keys ...SortKey) *Plan {
 	p.limit = limit
 	return p
 }
-
-// ElideSort marks the terminal ORDER BY as satisfied by the plan's
-// physical operators: the root pipeline's tasks each emit rows in key
-// order over disjoint key ranges (MPSM merge ranges), so collecting the
-// per-range buffers in range order yields the sorted result without a
-// sort. The caller (the physical-selection phase) is responsible for the
-// ordering claim being true; why is its rationale, rendered by Explain.
-func (p *Plan) ElideSort(why string) *Plan {
-	if len(p.sortKeys) == 0 {
-		panic("engine: ElideSort on a plan without ORDER BY")
-	}
-	p.sortElided = true
-	p.elideWhy = why
-	return p
-}
-
-// SortElided reports whether the terminal ORDER BY is satisfied by
-// operator output order instead of a sort, and why.
-func (p *Plan) SortElided() (bool, string) { return p.sortElided, p.elideWhy }
 
 // OutputSchema returns the schema of the plan's result.
 func (p *Plan) OutputSchema() []Reg {

@@ -157,7 +157,6 @@ type wireNode struct {
 	MapExpr *wireExpr `json:"mapExpr,omitempty"`
 
 	Join      string      `json:"join,omitempty"`
-	JoinAlgo  string      `json:"joinAlgo,omitempty"`
 	ProbeKeys []*wireExpr `json:"probeKeys,omitempty"`
 	BuildKeys []*wireExpr `json:"buildKeys,omitempty"`
 	Payload   []string    `json:"payload,omitempty"`
@@ -181,12 +180,10 @@ type wireSort struct {
 }
 
 type wirePlan struct {
-	Name       string     `json:"name"`
-	Sort       []wireSort `json:"sort,omitempty"`
-	SortElided bool       `json:"sortElided,omitempty"`
-	ElideWhy   string     `json:"elideWhy,omitempty"`
-	Limit      int        `json:"limit,omitempty"`
-	Nodes      []wireNode `json:"nodes"`
+	Name  string     `json:"name"`
+	Sort  []wireSort `json:"sort,omitempty"`
+	Limit int        `json:"limit,omitempty"`
+	Nodes []wireNode `json:"nodes"`
 }
 
 // EncodePlan serializes a plan for shipping to a peer node. The plan
@@ -198,7 +195,7 @@ func EncodePlan(p *Plan) ([]byte, error) {
 	if p.root == nil {
 		return nil, fmt.Errorf("engine: plan %q has no result node", p.Name)
 	}
-	wp := &wirePlan{Name: p.Name, Limit: p.limit, SortElided: p.sortElided, ElideWhy: p.elideWhy}
+	wp := &wirePlan{Name: p.Name, Limit: p.limit}
 	for _, k := range p.sortKeys {
 		wp.Sort = append(wp.Sort, wireSort{Name: k.Name, Desc: k.Desc})
 	}
@@ -248,10 +245,6 @@ func EncodePlan(p *Plan) ([]byte, error) {
 		case nJoin:
 			wn.Kind = "join"
 			wn.Join = joinWireNames[n.joinKind]
-			if n.joinAlgo != AlgoHash {
-				wn.JoinAlgo = n.joinAlgo.String()
-			}
-			wn.PhysWhy = n.physWhy
 			for _, k := range n.probeKeys {
 				wn.ProbeKeys = append(wn.ProbeKeys, encodeExpr(k))
 			}
@@ -432,16 +425,6 @@ func DecodePlanStreams(data []byte, lookup func(name string) (*storage.Table, bo
 				}
 				n = n.WithResidual(res)
 			}
-			switch wn.JoinAlgo {
-			case "":
-			case "mpsm":
-				n = n.WithJoinAlgo(AlgoMPSM)
-			default:
-				return nil, fmt.Errorf("engine: unknown join algorithm %q", wn.JoinAlgo)
-			}
-			if wn.PhysWhy != "" {
-				n = n.WithPhysNote(wn.PhysWhy)
-			}
 		case "agg":
 			if child == nil {
 				return nil, fmt.Errorf("engine: agg without child")
@@ -534,9 +517,6 @@ func DecodePlanStreams(data []byte, lookup func(name string) (*storage.Table, bo
 		np.sortKeys = append(np.sortKeys, SortKey{Name: k.Name, Desc: k.Desc})
 	}
 	np.limit = wp.Limit
-	if wp.SortElided {
-		np.ElideSort(wp.ElideWhy)
-	}
 	// Re-validate sort keys against the decoded root schema.
 	for _, k := range np.sortKeys {
 		schemaResolver(np.root.out).resolve(k.Name)

@@ -122,62 +122,3 @@ func (s *resultSink) collect() *Result {
 	}
 	return &Result{Schema: s.schema, rows: rows}
 }
-
-// orderedSink collects final rows for a plan whose ORDER BY is elided:
-// the root pipeline's tasks each emit rows already in key order over
-// disjoint, globally ordered key ranges (Ectx.ord is the range's rank).
-// Each worker buffers per rank without synchronization — a rank is
-// produced by exactly one task, hence one worker — and collect
-// concatenates the rank buffers in order, applying the LIMIT.
-type orderedSink struct {
-	schema  []Reg
-	buffers []map[int][][]Val // per worker: rank → rows in arrival order
-	limit   int
-}
-
-func newOrderedSink(schema []Reg, workers, limit int) *orderedSink {
-	s := &orderedSink{schema: schema, buffers: make([]map[int][][]Val, workers), limit: limit}
-	for i := range s.buffers {
-		s.buffers[i] = make(map[int][][]Val)
-	}
-	return s
-}
-
-func (s *orderedSink) factory(pc *pipeCtx) rowFn {
-	srcIdx := make([]int, len(s.schema))
-	for i, r := range s.schema {
-		srcIdx[i], _ = pc.resolve(r.Name)
-	}
-	rowW := rowWidth(s.schema)
-	return func(e *Ectx) {
-		row := make([]Val, len(srcIdx))
-		for i, si := range srcIdx {
-			row[i] = e.Regs[si]
-		}
-		b := s.buffers[e.W.ID]
-		b[e.ord] = append(b[e.ord], row)
-		e.writeBytes += int64(rowW)
-		e.cpuUnits++
-	}
-}
-
-func (s *orderedSink) collect() *Result {
-	merged := make(map[int][][]Val)
-	maxOrd := -1
-	for _, b := range s.buffers {
-		for ord, rows := range b {
-			merged[ord] = append(merged[ord], rows...)
-			if ord > maxOrd {
-				maxOrd = ord
-			}
-		}
-	}
-	var rows [][]Val
-	for ord := 0; ord <= maxOrd; ord++ {
-		rows = append(rows, merged[ord]...)
-	}
-	if s.limit > 0 && len(rows) > s.limit {
-		rows = rows[:s.limit]
-	}
-	return &Result{Schema: s.schema, rows: rows}
-}

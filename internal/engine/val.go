@@ -91,18 +91,12 @@ type Ectx struct {
 	W    *dispatch.Worker
 	Regs []Val
 
-	key []byte // scratch for key encoding (transient within one call)
+	key []byte // scratch for group-key encoding (transient within one call)
 	// scratch holds per-operator value scratch. Operators that keep key
 	// values alive across downstream calls (hash-join probes, sinks)
 	// get their own slot so that nested probes in one pipeline — team
 	// joins — cannot clobber each other.
 	scratch [][]Val
-
-	// ord is the output-order rank of the task currently feeding this
-	// context: MPSM merge tasks set it to their range index, so ordered
-	// sinks (an elided ORDER BY) can concatenate per-range buffers in
-	// global key order. 0 for unordered producers.
-	ord int
 
 	cpuUnits   float64
 	writeBytes int64
@@ -128,7 +122,6 @@ func newEctx(nRegs, sockets int, scratchSizes []int) *Ectx {
 
 func (e *Ectx) reset(w *dispatch.Worker) {
 	e.W = w
-	e.ord = 0
 	e.cpuUnits = 0
 	e.writeBytes = 0
 	e.shuffleBytes = 0
@@ -157,25 +150,6 @@ func (e *Ectx) flush() {
 // plan-compile time — one closure call per operator per tuple, no
 // intermediate materialization, mirroring the paper's JIT'd pipelines.
 type rowFn func(e *Ectx)
-
-// fnv1a is the 64-bit FNV-1a hash used for join and grouping keys.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func hashBytes(b []byte) uint64 {
-	h := uint64(fnvOffset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	// Finalize: spread entropy into the high bits, which the hash
-	// table uses for slot selection.
-	h ^= h >> 32
-	h *= 0x9E3779B97F4A7C15
-	return h
-}
 
 // encodeVal appends a binary encoding of v (typed t) to buf.
 func encodeVal(buf []byte, t Type, v Val) []byte {

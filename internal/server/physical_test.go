@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"testing"
@@ -10,10 +13,10 @@ import (
 	"repro/internal/sql"
 )
 
-// The per-request physical-operator override: forced algorithms show up
-// in EXPLAIN, results stay identical across algorithms, invalid values
-// are client errors, and the plan cache keys on the options so a forced
-// plan never serves an auto request.
+// The per-request aggregation-strategy override: a forced strategy shows
+// up in EXPLAIN, results stay identical across strategies, invalid values
+// and the retired "physical" field are client errors, and the plan cache
+// keys on the option so a forced plan never serves an auto request.
 
 const physJoinSQL = `
 SELECT l_orderkey, o_orderdate, SUM(l_quantity) AS qty
@@ -26,22 +29,22 @@ func TestPhysicalOverrideExplain(t *testing.T) {
 	s, _ := newTPCHServer(t)
 	ctx := context.Background()
 
-	resp, err := s.Submit(ctx, &Request{SQL: physJoinSQL, Explain: true, Physical: "mpsm", PhysicalAgg: "partitioned"})
+	resp, err := s.Submit(ctx, &Request{SQL: physJoinSQL, Explain: true, PhysicalAgg: "partitioned"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"join mpsm", "[phys: mpsm (forced)]", "agg partitioned", "[phys: partitioned (forced)]"} {
+	for _, want := range []string{"hashjoin inner", "agg partitioned", "[phys: partitioned (forced)]"} {
 		if !strings.Contains(resp.Plan, want) {
 			t.Fatalf("forced explain missing %q:\n%s", want, resp.Plan)
 		}
 	}
 
-	resp, err = s.Submit(ctx, &Request{SQL: physJoinSQL, Explain: true, Physical: "hash", PhysicalAgg: "shared"})
+	resp, err = s.Submit(ctx, &Request{SQL: physJoinSQL, Explain: true, PhysicalAgg: "shared"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(resp.Plan, "mpsm") || strings.Contains(resp.Plan, "[phys") {
-		t.Fatalf("forced-hash explain still annotated:\n%s", resp.Plan)
+	if strings.Contains(resp.Plan, "[phys") {
+		t.Fatalf("forced-shared explain still annotated:\n%s", resp.Plan)
 	}
 }
 
@@ -56,22 +59,22 @@ func TestPhysicalOverrideParity(t *testing.T) {
 		sort.Strings(out)
 		return out
 	}
-	base, err := s.Submit(ctx, &Request{SQL: physJoinSQL, Physical: "hash", PhysicalAgg: "shared"})
+	base, err := s.Submit(ctx, &Request{SQL: physJoinSQL, PhysicalAgg: "shared"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ph := range [][2]string{{"mpsm", "partitioned"}, {"auto", "auto"}, {"", ""}} {
-		resp, err := s.Submit(ctx, &Request{SQL: physJoinSQL, Physical: ph[0], PhysicalAgg: ph[1]})
+	for _, agg := range []string{"partitioned", "auto", ""} {
+		resp, err := s.Submit(ctx, &Request{SQL: physJoinSQL, PhysicalAgg: agg})
 		if err != nil {
-			t.Fatalf("%v: %v", ph, err)
+			t.Fatalf("%q: %v", agg, err)
 		}
 		g, w := canon(resp.Rows), canon(base.Rows)
 		if len(g) != len(w) {
-			t.Fatalf("%v: %d rows vs %d", ph, len(g), len(w))
+			t.Fatalf("%q: %d rows vs %d", agg, len(g), len(w))
 		}
 		for i := range g {
 			if g[i] != w[i] {
-				t.Fatalf("%v: row %d: %s vs %s", ph, i, g[i], w[i])
+				t.Fatalf("%q: row %d: %s vs %s", agg, i, g[i], w[i])
 			}
 		}
 	}
@@ -81,16 +84,35 @@ func TestPhysicalOverrideErrors(t *testing.T) {
 	s, _ := newTPCHServer(t)
 	ctx := context.Background()
 	var bad *BadRequestError
-	if _, err := s.Submit(ctx, &Request{SQL: physJoinSQL, Physical: "sortmerge"}); err == nil || !asBadRequest(err, &bad) {
-		t.Fatalf("unknown physical: want BadRequestError, got %v", err)
-	}
 	if _, err := s.Submit(ctx, &Request{SQL: physJoinSQL, PhysicalAgg: "hashed"}); err == nil || !asBadRequest(err, &bad) {
 		t.Fatalf("unknown agg: want BadRequestError, got %v", err)
 	}
-	// The options change compiled SQL plans, so they are meaningless —
-	// and rejected — on prepared-plan and DSL requests.
-	if _, err := s.Submit(ctx, &Request{Prepared: "q1", Physical: "mpsm"}); err == nil || !asBadRequest(err, &bad) {
-		t.Fatalf("physical on prepared: want BadRequestError, got %v", err)
+	// The option changes compiled SQL plans, so it is meaningless — and
+	// rejected — on prepared-plan and DSL requests.
+	if _, err := s.Submit(ctx, &Request{Prepared: "q1", PhysicalAgg: "shared"}); err == nil || !asBadRequest(err, &bad) {
+		t.Fatalf("agg on prepared: want BadRequestError, got %v", err)
+	}
+}
+
+// TestRetiredPhysicalFieldRejected: the join-algorithm override is gone
+// with the sort-merge join. A request that still carries "physical" must get a
+// clean 400 naming the field, not have it silently ignored.
+func TestRetiredPhysicalFieldRejected(t *testing.T) {
+	s, _ := newTPCHServer(t)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	for _, v := range []string{"hash", "auto"} {
+		body := fmt.Sprintf(`{"sql": "SELECT COUNT(*) AS n FROM nation", "physical": %q}`, v)
+		resp, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg bytes.Buffer
+		_, _ = msg.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.String(), "physical") {
+			t.Fatalf("physical=%q: status %d body %s, want 400 naming the field", v, resp.StatusCode, msg.String())
+		}
 	}
 }
 

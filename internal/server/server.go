@@ -68,9 +68,8 @@ type Config struct {
 	// request; ? placeholders bind per execution.
 	PlanCacheSize int
 	// Physical is the default physical-operator selection for SQL
-	// requests (join: auto|hash|mpsm, agg: auto|shared|partitioned; the
-	// zero value is fully automatic). Requests may override it per
-	// query.
+	// requests (agg: auto|shared|partitioned; the zero value is fully
+	// automatic). Requests may override it per query.
 	Physical sql.Physical
 	// FragTimeout bounds each distributed fragment RPC attempt,
 	// including streaming the fragment's response (default 30s). A peer
@@ -165,12 +164,10 @@ type Request struct {
 	// refuses fall back to single-node execution transparently
 	// (Response.Distributed reports what actually happened).
 	Distributed bool `json:"distributed,omitempty"`
-	// Physical overrides the server's default join algorithm for this
-	// SQL statement: "auto", "hash" or "mpsm". PhysicalAgg likewise
-	// picks the aggregation strategy: "auto", "shared" or
-	// "partitioned". Only valid with SQL requests; the compiled plan is
-	// cached per (SQL text, physical options).
-	Physical    string `json:"physical,omitempty"`
+	// PhysicalAgg overrides the server's default aggregation strategy
+	// for this SQL statement: "auto", "shared" or "partitioned". Only
+	// valid with SQL requests; the compiled plan is cached per (SQL
+	// text, physical options).
 	PhysicalAgg string `json:"agg,omitempty"`
 }
 
@@ -450,8 +447,8 @@ func (s *Server) resolvePlan(req *Request) (*core.Plan, error) {
 	if set > 1 {
 		return nil, &BadRequestError{Msg: "set exactly one of \"prepared\", \"plan\", \"sql\""}
 	}
-	if (req.Physical != "" || req.PhysicalAgg != "") && req.SQL == "" {
-		return nil, &BadRequestError{Msg: "\"physical\"/\"agg\" apply only to \"sql\" requests"}
+	if req.PhysicalAgg != "" && req.SQL == "" {
+		return nil, &BadRequestError{Msg: "\"agg\" applies only to \"sql\" requests"}
 	}
 	template, err := func() (*core.Plan, error) {
 		switch {
@@ -471,9 +468,6 @@ func (s *Server) resolvePlan(req *Request) (*core.Plan, error) {
 			return p, nil
 		case req.SQL != "":
 			ph := s.cfg.Physical
-			if req.Physical != "" {
-				ph.Join = req.Physical
-			}
 			if req.PhysicalAgg != "" {
 				ph.Agg = req.PhysicalAgg
 			}
@@ -507,8 +501,8 @@ func (s *Server) resolvePlan(req *Request) (*core.Plan, error) {
 // bind / cost-based optimize per distinct (SQL text, physical options,
 // catalog version), shared by every subsequent request. The physical
 // options are part of the key because they change the compiled plan —
-// a forced-MPSM request must never serve an auto-compiled plan, and
-// vice versa.
+// a forced-partitioned request must never serve an auto-compiled plan,
+// and vice versa.
 func (s *Server) prepareSQL(query string, ph sql.Physical) (*sql.Prepared, error) {
 	if err := ph.Validate(); err != nil {
 		return nil, err

@@ -67,9 +67,9 @@ type DistStage struct {
 	// receiving fragment ingests the stage's rows as frames arrive (a
 	// hash-join build fills incrementally) instead of waiting behind a
 	// stage barrier. The planner leaves it false only when the consumer
-	// semantically needs all input up front — sort, MPSM runs,
-	// Materialize — which are shapes this planner rejects as not
-	// distributable, so every emitted stage is streamable today; the
+	// semantically needs all input up front — sort, Materialize — which
+	// are shapes this planner rejects as not distributable, so every
+	// emitted stage is streamable today; the
 	// marking is carried anyway so the runtime and EXPLAIN stay honest
 	// if that changes.
 	Streamable bool
@@ -449,11 +449,6 @@ func (d *distributor) rebuildJoin(n *engine.Node) (pair, error) {
 		// distributed build would scatter across nodes.
 		return pair{}, fmt.Errorf("%w: mark join", ErrNotDistributable)
 	}
-	if ji.Algo == engine.AlgoMPSM {
-		// The MPSM merge phase range-partitions sorted runs that must
-		// all live in one engine session; shards cannot exchange runs.
-		return pair{}, fmt.Errorf("%w: mpsm join", ErrNotDistributable)
-	}
 	probe, err := d.rebuild(n.Input())
 	if err != nil {
 		return pair{}, err
@@ -527,8 +522,8 @@ func (d *distributor) rebuildJoin(n *engine.Node) (pair, error) {
 		Parts:     probe.parts,
 		Est:       build.Est(),
 		// The consumer is a hash-join build, which fills incrementally:
-		// this edge streams. (Barrier-requiring consumers — sort, MPSM
-		// runs, Materialize — never reach here; rebuild rejects them.)
+		// this edge streams. (Barrier-requiring consumers — sort,
+		// Materialize — never reach here; rebuild rejects them.)
 		Streamable: true,
 	}
 	saved := d.frag

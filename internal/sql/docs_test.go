@@ -26,10 +26,8 @@ func TestExplainDocExamples(t *testing.T) {
 		{"emp/dept join+groupby", testCatalog(),
 			`SELECT dname, COUNT(*) AS n FROM emp, dept WHERE dept = did AND salary > 1200.0 GROUP BY dname ORDER BY n DESC, dname`},
 		{"TPC-H Q16", tpchCatalog(), tpch.MustSQLText(16, 1)},
-		{"physical selection (MPSM + partitioned agg)", tpchCatalog(),
+		{"physical selection (partitioned agg)", tpchCatalog(),
 			"SELECT l_orderkey, o_orderdate, SUM(l_quantity) AS qty\nFROM lineitem, orders\nWHERE l_orderkey = o_orderkey\nGROUP BY l_orderkey, o_orderdate\nORDER BY l_orderkey, o_orderdate"},
-		{"sort elision", tpchCatalog(),
-			`SELECT l_orderkey, o_orderdate FROM lineitem, orders WHERE l_orderkey = o_orderkey ORDER BY l_orderkey`},
 	} {
 		p, err := Compile(ex.query, ex.cat)
 		if err != nil {

@@ -2,33 +2,24 @@ package sql
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/engine"
 )
 
-// Physical operator selection (§4 of the paper positions morsel-driven
-// scheduling as algorithm-agnostic: the same dispatcher drives hash
-// joins, the MPSM sort-merge join of Albutiu et al., and partitioned
-// aggregation). This pass runs after join ordering and lowering: it
-// walks the finished engine plan and picks, per operator, the physical
-// algorithm — hash vs. MPSM for each join, shared vs. partitioned table
-// for each aggregation — using the cost layer's cardinality and NDV
-// estimates. Each non-default choice is recorded in EXPLAIN as a
-// "[phys: ...]" note with the estimates that justified it.
-//
-// The pass also exploits MPSM's free output order: when the terminal
-// ORDER BY is an ascending prefix of the order-defining MPSM join's
-// probe keys, the final sort is elided (the ordered sink concatenates
-// merge ranges by rank instead of sorting).
+// Physical operator selection. Every join is the pipelined hash join on
+// the lock-free tagged table (§4.1–4.2); the one choice left to this pass
+// is the aggregation strategy (§4.4 vs. the partitioned alternative of
+// Memarzia et al.). It runs after join ordering and lowering, walks the
+// finished engine plan and picks shared vs. partitioned tables for each
+// aggregation from the cost layer's group-count estimate. A non-default
+// choice is recorded in EXPLAIN as a "[phys: ...]" note with the estimate
+// that justified it. ARCHITECTURE.md ("Physical operator selection")
+// records the wall-clock trial that retired the sort-merge join this pass
+// used to choose as well.
 
 // Physical configures the physical-operator selection phase for one
 // compilation. The zero value means fully automatic, cost-based choice.
 type Physical struct {
-	// Join picks the join algorithm: "auto" (or ""), "hash", "mpsm".
-	// "hash"/"mpsm" force that algorithm for every join that supports
-	// it (mark joins and multi-pipeline probe sides always use hash).
-	Join string
 	// Agg picks the aggregation strategy: "auto" (or ""), "shared",
 	// "partitioned". Global aggregates (no GROUP BY) always run shared.
 	Agg string
@@ -36,13 +27,6 @@ type Physical struct {
 
 // normalize canonicalizes and validates the options.
 func (ph Physical) normalize() (Physical, error) {
-	switch ph.Join {
-	case "", "auto":
-		ph.Join = "auto"
-	case "hash", "mpsm":
-	default:
-		return ph, fmt.Errorf("sql: unknown join algorithm %q (want auto, hash or mpsm)", ph.Join)
-	}
 	switch ph.Agg {
 	case "", "auto":
 		ph.Agg = "auto"
@@ -62,49 +46,23 @@ func (ph Physical) Validate() error {
 // Key returns a canonical string for plan-cache keys: two Physical
 // values with equal keys compile any query to the same plan.
 func (ph Physical) Key() string {
-	n, err := ph.normalize()
-	if err != nil {
-		// Invalid options never reach a cache (Validate gates them),
-		// but keep the key total anyway.
-		return "join=" + ph.Join + ";agg=" + ph.Agg
+	if n, err := ph.normalize(); err == nil {
+		ph = n
 	}
-	return "join=" + n.Join + ";agg=" + n.Agg
+	// Invalid options never reach a cache (Validate gates them), but the
+	// key stays total anyway.
+	return "agg=" + ph.Agg
 }
 
-// Cost-model thresholds (package variables so tests can pin behavior at
-// small scale factors).
-var (
-	// mpsmMinBuildRows / mpsmMinProbeRows are the minimum estimated
-	// cardinalities for an automatic MPSM choice: MPSM is a
-	// large-join-large algorithm. A small build side fits hot in cache
-	// as a hash table, and a small probe side cannot amortize sorting
-	// the build into runs.
-	mpsmMinBuildRows = 10_000.0
-	mpsmMinProbeRows = 10_000.0
-
-	// mpsmMaxFanout caps estimated probe/build. Far beyond it the
-	// probe side dwarfs the build and hashing's O(probe) beats
-	// sorting's O(probe log probe).
-	mpsmMaxFanout = 64.0
-
-	// mpsmElideMinProbeRows is the minimum estimated probe cardinality
-	// for the order-driven MPSM choice: flipping a small join to MPSM
-	// just to skip a tiny final sort is not worth the merge phase.
-	mpsmElideMinProbeRows = 1_024.0
-
-	// aggPartitionedMinGroups is the minimum estimated group count for
-	// an automatic partitioned-aggregation choice. Below it a shared
-	// table sees little contention and the per-worker-per-partition
-	// tables only add merge work.
-	aggPartitionedMinGroups = 4_096.0
-)
+// aggPartitionedMinGroups is the minimum estimated group count for an
+// automatic partitioned-aggregation choice. Below it the capped
+// thread-local table holds every group and the per-worker-per-partition
+// tables only add merge work. A package variable so tests can pin
+// behavior at small scale factors.
+var aggPartitionedMinGroups = 4_096.0
 
 // applyPhysical runs the selection pass over a lowered plan in place.
 func applyPhysical(p *engine.Plan, ph Physical) {
-	root := p.Root()
-	if root == nil {
-		return
-	}
 	seen := map[*engine.Node]bool{}
 	var walk func(n *engine.Node)
 	walk = func(n *engine.Node) {
@@ -117,42 +75,11 @@ func applyPhysical(p *engine.Plan, ph Physical) {
 		}
 		walk(n.Input())
 		walk(n.BuildInput())
-		// Children first: chooseJoin's pipeline-safety check reads the
-		// algorithms already chosen below.
-		switch n.Kind() {
-		case engine.KindJoin:
-			chooseJoin(n, ph)
-		case engine.KindAgg:
+		if n.Kind() == engine.KindAgg {
 			chooseAgg(n, ph)
 		}
 	}
-	walk(root)
-	applyElision(p, ph)
-}
-
-// chooseJoin picks hash vs. MPSM for one join.
-func chooseJoin(n *engine.Node, ph Physical) {
-	ji := n.JoinInfo()
-	if ji.Kind == engine.JoinMark || !singlePipelineProbe(n) {
-		// Mark joins leave per-row marks in the hash table for the
-		// paired Unmatched scan; MPSM runs have no mark state. A
-		// multi-pipeline (union) probe side would invoke the MPSM run
-		// sink once per branch with incompatible register layouts.
-		return
-	}
-	switch ph.Join {
-	case "hash":
-		return // the default algorithm; no note, plans stay byte-identical
-	case "mpsm":
-		n.WithJoinAlgo(engine.AlgoMPSM).WithPhysNote("[phys: mpsm (forced)]")
-	default: // auto
-		build, probe := n.BuildInput().Est(), n.Input().Est()
-		if build < mpsmMinBuildRows || probe < mpsmMinProbeRows || probe > build*mpsmMaxFanout {
-			return
-		}
-		n.WithJoinAlgo(engine.AlgoMPSM).WithPhysNote(fmt.Sprintf(
-			"[phys: mpsm build est=%.0f probe est=%.0f]", build, probe))
-	}
+	walk(p.Root())
 }
 
 // chooseAgg picks the shared vs. partitioned table strategy for one
@@ -175,111 +102,4 @@ func chooseAgg(n *engine.Node, ph Physical) {
 		n.WithAggAlgo(engine.AggPartitioned).WithPhysNote(fmt.Sprintf(
 			"[phys: partitioned groups est=%.0f]", g))
 	}
-}
-
-// singlePipelineProbe reports whether exactly one pipeline feeds the
-// join's probe input. The MPSM run sink snapshots its pipeline's
-// register layout on first use and must be fed by exactly one pipeline;
-// a union below (without an intervening breaker) fans N pipelines into
-// it.
-func singlePipelineProbe(n *engine.Node) bool {
-	for c := n.Input(); c != nil; {
-		switch c.Kind() {
-		case engine.KindFilter, engine.KindMap, engine.KindProject:
-			c = c.Input() // pipelining operators pass the pipeline through
-		case engine.KindJoin:
-			if c.JoinInfo().Algo == engine.AlgoMPSM {
-				return true // the merge phase starts a fresh pipeline
-			}
-			c = c.Input() // a hash probe pipelines its own probe input through
-		case engine.KindScan, engine.KindAgg, engine.KindMaterialize, engine.KindUnmatched:
-			return true // pipeline sources / full breakers
-		default: // union, exchange
-			return false
-		}
-	}
-	return false
-}
-
-// applyElision elides the terminal ORDER BY when the plan's output is
-// already in that order courtesy of an MPSM join, walking the root
-// spine down through order-preserving operators. In auto mode it also
-// flips an eligible hash join to MPSM when that alone makes the sort
-// free (the paper's "sort is no longer a pipeline breaker you pay
-// twice for" argument).
-func applyElision(p *engine.Plan, ph Physical) {
-	keys, _ := p.SortSpec()
-	if len(keys) == 0 {
-		return
-	}
-	// Shadow set: an operator above the order-defining join that
-	// redefines a sort-key name (a computed column, or join payload)
-	// breaks the key-to-column correspondence.
-	want := map[string]bool{}
-	for _, k := range keys {
-		if k.Desc {
-			return // MPSM output is ascending only
-		}
-		want[k.Name] = true
-	}
-	for n := p.Root(); n != nil; {
-		switch n.Kind() {
-		case engine.KindProject:
-			n = n.Input()
-		case engine.KindFilter:
-			n = n.Input()
-		case engine.KindMap:
-			if want[n.MapInfo().Name] {
-				return // sort key is computed above the join
-			}
-			n = n.Input()
-		case engine.KindJoin:
-			ji := n.JoinInfo()
-			if ji.Algo == engine.AlgoMPSM {
-				if why, ok := orderedPrefix(keys, ji.ProbeKeys); ok {
-					p.ElideSort(why)
-				}
-				return // order-defining breaker either way
-			}
-			for _, pay := range ji.Payload {
-				if want[pay] {
-					return // sort key is a build payload of a pipelined join
-				}
-			}
-			// A hash probe preserves its input's order (each probe row
-			// emits its matches in place). If this join's own keys
-			// match, flipping it to MPSM makes the sort free.
-			if ph.Join == "auto" && ji.Kind != engine.JoinMark && singlePipelineProbe(n) &&
-				n.Input().Est() >= mpsmElideMinProbeRows {
-				if why, ok := orderedPrefix(keys, ji.ProbeKeys); ok {
-					n.WithJoinAlgo(engine.AlgoMPSM).WithPhysNote(fmt.Sprintf(
-						"[phys: mpsm probe est=%.0f orders output]", n.Input().Est()))
-					p.ElideSort(why)
-					return
-				}
-			}
-			n = n.Input()
-		default:
-			return // agg, union, scan, ...: unordered or order unknown
-		}
-	}
-}
-
-// orderedPrefix reports whether the ORDER BY keys are an ascending
-// prefix of the join's probe keys (bare columns, same order) — the
-// exact order an MPSM join's merge ranges deliver. Returns the elision
-// note for EXPLAIN.
-func orderedPrefix(keys []engine.SortKey, probeKeys []*engine.Expr) (string, bool) {
-	if len(keys) > len(probeKeys) {
-		return "", false
-	}
-	names := make([]string, len(keys))
-	for i, k := range keys {
-		name, bare := probeKeys[i].ColName()
-		if !bare || k.Desc || name != k.Name {
-			return "", false
-		}
-		names[i] = name
-	}
-	return "mpsm join output ordered by " + strings.Join(names, ", "), true
 }

@@ -9,9 +9,9 @@ import (
 	"repro/internal/tpch"
 )
 
-// The physical-operator selection phase: forced and automatic algorithm
-// choice, EXPLAIN plan-shape pins with the cost rationale, ORDER BY
-// elision over MPSM output, and full-suite result parity across
+// The physical-operator selection phase: forced and automatic
+// aggregation-strategy choice, EXPLAIN plan-shape pins with the cost
+// rationale, the hash-join-only pin, and full-suite result parity across
 // physical configurations.
 
 // physCompile compiles under the given options or fails the test.
@@ -24,24 +24,19 @@ func physCompile(t *testing.T, query string, cat Catalog, ph Physical) *engine.P
 	return p
 }
 
-// TestTPCHPhysicalParity runs every covered TPC-H query under three
-// physical configurations — all-hash/shared, fully automatic, and
-// forced MPSM + partitioned aggregation — and asserts identical results.
-// The physical phase may only change how operators run, never what they
-// produce.
+// TestTPCHPhysicalParity runs every covered TPC-H query under the three
+// aggregation configurations — forced shared, fully automatic, forced
+// partitioned — and asserts identical results. The physical phase may
+// only change how operators run, never what they produce.
 func TestTPCHPhysicalParity(t *testing.T) {
 	cat := tpchCatalog()
-	modes := []Physical{
-		{}, // auto
-		{Join: "mpsm", Agg: "partitioned"},
-	}
 	for _, n := range tpch.SQLCoverage() {
 		n := n
 		t.Run(fmt.Sprintf("Q%d", n), func(t *testing.T) {
 			query := tpch.MustSQLText(n, tpchDB.Cfg.SF)
-			base := physCompile(t, query, cat, Physical{Join: "hash", Agg: "shared"})
+			base := physCompile(t, query, cat, Physical{Agg: "shared"})
 			want, _ := goldenSession().Run(base)
-			for _, ph := range modes {
+			for _, ph := range []Physical{{}, {Agg: "partitioned"}} {
 				p := physCompile(t, query, cat, ph)
 				got, _ := goldenSession().Run(p)
 				sameResults(t, fmt.Sprintf("Q%d under %+v", n, ph), got, want, coverageOrdered[n])
@@ -51,41 +46,27 @@ func TestTPCHPhysicalParity(t *testing.T) {
 }
 
 // TestPhysicalAutoSelections pins the automatic choices the cost model
-// makes on the TPC-H suite, with their est= rationale. These queries
-// have a large build AND a large probe (MPSM) or a high-NDV group key
-// (partitioned aggregation); if the estimator or the thresholds drift,
-// these pins catch it.
+// makes on the TPC-H suite, with their est= rationale: a high-NDV group
+// key partitions its aggregation. If the estimator or the threshold
+// drifts, these pins catch it.
 func TestPhysicalAutoSelections(t *testing.T) {
 	cat := tpchCatalog()
 	pins := []struct {
 		q    int
 		want []string
 	}{
-		// Q9: lineitem ⋈ partsupp on the composite key — 16000-row
-		// build, 119875-row probe, both past the MPSM floors.
-		{9, []string{
-			"join mpsm inner on [l_suppkey = ps_suppkey, l_partkey = ps_partkey] payload=[ps_supplycost] [phys: mpsm build est=16000 probe est=119875]",
-		}},
-		// Q18: the lineitem ⋈ orders spine flips to MPSM, and both the
-		// outer 40022-group aggregate and the inner 29952-group
-		// SUM(l_quantity) HAVING subquery partition their tables.
+		// Q18: both the outer 40022-group aggregate and the inner
+		// 29952-group SUM(l_quantity) HAVING subquery partition.
 		{18, []string{
-			"join mpsm inner on [l_orderkey = o_orderkey] payload=[o_orderkey o_totalprice o_orderdate c_custkey c_name] [phys: mpsm build est=30000 probe est=119875]",
 			"agg partitioned [c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice] aggs [sum(l_quantity) AS sum_qty] [phys: partitioned groups est=40022]",
 			"agg partitioned [l_orderkey] aggs [sum(l_quantity) AS $agg1] [phys: partitioned groups est=29952]",
 		}},
-		// Q21: the semi join of filtered lineitem against 'F'-status
-		// orders (10000 build, 39958 probe) runs as MPSM.
-		{21, []string{
-			"join mpsm semi on [l_orderkey = o_orderkey] [phys: mpsm build est=10000 probe est=39958]",
-		}},
-		// Q3: the revenue aggregation's 6274-group key partitions; the
-		// joins stay hash (the semi's 2918-row build is under the MPSM
-		// floor, and customer is tiny).
+		// Q3: the revenue aggregation's 6274-group key partitions.
 		{3, []string{
 			"agg partitioned [l_orderkey, o_orderdate, o_shippriority] aggs [sum((l_extendedprice * (1 - l_discount))) AS revenue] [phys: partitioned groups est=6274]",
-			"hashjoin semi on [o_custkey = c_custkey]",
 		}},
+		// Q5: five nation groups stay on the shared engine.
+		{5, []string{"groupby [n_name]"}},
 	}
 	for _, pin := range pins {
 		query := tpch.MustSQLText(pin.q, tpchDB.Cfg.SF)
@@ -98,18 +79,44 @@ func TestPhysicalAutoSelections(t *testing.T) {
 	}
 }
 
-// TestPhysicalForced pins the forced modes: "mpsm"/"partitioned" flip
-// every eligible operator and say so in EXPLAIN; "hash"/"shared" leave
-// the plan free of any physical annotation.
+// TestJoinsAreHashJoins pins the outcome of the sort-merge trial
+// (ARCHITECTURE.md, "Physical operator selection") on the five
+// join-heavy benchmark queries: every join line of the automatic plan is
+// a hashjoin, no join carries a physical note, and the terminal ORDER BY
+// runs as a sort.
+func TestJoinsAreHashJoins(t *testing.T) {
+	cat := tpchCatalog()
+	for _, n := range []int{3, 5, 9, 10, 18} {
+		ex := physCompile(t, tpch.MustSQLText(n, tpchDB.Cfg.SF), cat, Physical{}).Explain()
+		joins := 0
+		for _, line := range strings.Split(ex, "\n") {
+			op := strings.TrimLeft(line, "│├└─ ")
+			if !strings.Contains(op, " on [") {
+				continue
+			}
+			joins++
+			if !strings.HasPrefix(op, "hashjoin ") || strings.Contains(op, "[phys") {
+				t.Errorf("Q%d: join line is not a plain hashjoin: %q", n, op)
+			}
+		}
+		if joins == 0 {
+			t.Errorf("Q%d: no join in plan:\n%s", n, ex)
+		}
+		if strings.Contains(ex, "elided") {
+			t.Errorf("Q%d: the terminal sort is elided:\n%s", n, ex)
+		}
+	}
+}
+
+// TestPhysicalForced pins the forced modes: "partitioned" flips every
+// grouped aggregation and says so in EXPLAIN; "shared" leaves the plan
+// free of any physical annotation.
 func TestPhysicalForced(t *testing.T) {
 	cat := tpchCatalog()
 	q3 := tpch.MustSQLText(3, tpchDB.Cfg.SF)
 
-	ex := physCompile(t, q3, cat, Physical{Join: "mpsm", Agg: "partitioned"}).Explain()
+	ex := physCompile(t, q3, cat, Physical{Agg: "partitioned"}).Explain()
 	for _, w := range []string{
-		"join mpsm inner on [l_orderkey = o_orderkey]",
-		"join mpsm semi on [o_custkey = c_custkey]",
-		"[phys: mpsm (forced)]",
 		"agg partitioned [l_orderkey, o_orderdate, o_shippriority]",
 		"[phys: partitioned (forced)]",
 	} {
@@ -118,133 +125,42 @@ func TestPhysicalForced(t *testing.T) {
 		}
 	}
 
-	ex = physCompile(t, q3, cat, Physical{Join: "hash", Agg: "shared"}).Explain()
-	for _, bad := range []string{"mpsm", "partitioned", "[phys"} {
+	ex = physCompile(t, q3, cat, Physical{Agg: "shared"}).Explain()
+	for _, bad := range []string{"partitioned", "[phys"} {
 		if strings.Contains(ex, bad) {
-			t.Errorf("forced-hash Q3 explain contains %q:\n%s", bad, ex)
+			t.Errorf("forced-shared Q3 explain contains %q:\n%s", bad, ex)
 		}
 	}
 
-	// Mark joins never flip, even forced: Q13's LEFT JOIN lowers to a
-	// mark join + unmatched union, which has no MPSM equivalent.
-	q13 := tpch.MustSQLText(13, tpchDB.Cfg.SF)
-	ex = physCompile(t, q13, cat, Physical{Join: "mpsm"}).Explain()
-	if !strings.Contains(ex, "hashjoin mark") {
-		t.Errorf("forced-mpsm Q13 lost its mark join:\n%s", ex)
+	// Global aggregates never flip, even forced: Q6 has one group.
+	ex = physCompile(t, tpch.MustSQLText(6, tpchDB.Cfg.SF), cat, Physical{Agg: "partitioned"}).Explain()
+	if strings.Contains(ex, "partitioned") {
+		t.Errorf("forced-partitioned Q6 partitioned its global aggregate:\n%s", ex)
 	}
 }
 
 // TestPhysicalValidate covers option validation and cache-key
 // canonicalization.
 func TestPhysicalValidate(t *testing.T) {
-	for _, ph := range []Physical{{}, {Join: "auto"}, {Join: "hash"}, {Join: "mpsm"},
-		{Agg: "auto"}, {Agg: "shared"}, {Agg: "partitioned"}} {
+	for _, ph := range []Physical{{}, {Agg: "auto"}, {Agg: "shared"}, {Agg: "partitioned"}} {
 		if err := ph.Validate(); err != nil {
 			t.Errorf("%+v: unexpected error %v", ph, err)
 		}
-	}
-	if err := (Physical{Join: "sort"}).Validate(); err == nil ||
-		!strings.Contains(err.Error(), "unknown join algorithm") {
-		t.Errorf("Join=sort: want unknown-algorithm error, got %v", err)
 	}
 	if err := (Physical{Agg: "radix"}).Validate(); err == nil ||
 		!strings.Contains(err.Error(), "unknown aggregation strategy") {
 		t.Errorf("Agg=radix: want unknown-strategy error, got %v", err)
 	}
-	if got, want := (Physical{}).Key(), "join=auto;agg=auto"; got != want {
+	if got, want := (Physical{}).Key(), "agg=auto"; got != want {
 		t.Errorf("zero Key() = %q, want %q", got, want)
 	}
-	if (Physical{}).Key() != (Physical{Join: "auto", Agg: "auto"}).Key() {
+	if (Physical{}).Key() != (Physical{Agg: "auto"}).Key() {
 		t.Error("zero value and explicit auto must share a cache key")
 	}
-	if (Physical{Join: "mpsm"}).Key() == (Physical{}).Key() {
-		t.Error("forced mpsm must not share the auto cache key")
+	if (Physical{Agg: "partitioned"}).Key() == (Physical{}).Key() {
+		t.Error("forced partitioned must not share the auto cache key")
 	}
-	if _, err := CompileOpts("SELECT id FROM emp", "sql", testCatalog(), Physical{Join: "nested-loop"}); err == nil {
-		t.Error("CompileOpts accepted an unknown join algorithm")
-	}
-}
-
-// mustMonotone asserts the result's first column is non-decreasing.
-func mustMonotone(t *testing.T, label string, res *engine.Result) {
-	t.Helper()
-	rows := res.Rows()
-	for i := 1; i < len(rows); i++ {
-		if rows[i][0].I < rows[i-1][0].I {
-			t.Fatalf("%s: row %d key %d < previous %d — output not sorted",
-				label, i, rows[i][0].I, rows[i-1][0].I)
-		}
-	}
-}
-
-// TestSortElision pins the free-sortedness optimization: when the
-// terminal ORDER BY is an ascending prefix of the order-defining MPSM
-// join's probe keys the final sort is elided, and the merge ranges'
-// concatenation IS the output order. Negative cases pin that a DESC key
-// or a non-key column keeps the sort.
-func TestSortElision(t *testing.T) {
-	cat := tpchCatalog()
-
-	// Positive: the join already qualifies for MPSM on size, and the
-	// ORDER BY matches its probe key.
-	pos := `SELECT l_orderkey, o_orderdate FROM lineitem, orders WHERE l_orderkey = o_orderkey ORDER BY l_orderkey`
-	p := physCompile(t, pos, cat, Physical{})
-	ex := p.Explain()
-	if !strings.Contains(ex, "order by [l_orderkey] (elided: mpsm join output ordered by l_orderkey)") {
-		t.Errorf("elision header missing:\n%s", ex)
-	}
-	if !strings.Contains(ex, "join mpsm inner on [l_orderkey = o_orderkey]") {
-		t.Errorf("expected auto mpsm join:\n%s", ex)
-	}
-	got, _ := goldenSession().Run(p)
-	mustMonotone(t, "elided", got)
-	want, _ := goldenSession().Run(physCompile(t, pos, cat, Physical{Join: "hash"}))
-	sameResults(t, "elided vs hash+sort", got, want, false)
-
-	// Positive: ORDER BY is a strict prefix of a composite probe key.
-	prefix := `SELECT l_partkey, l_suppkey, ps_supplycost FROM lineitem, partsupp
-		WHERE l_partkey = ps_partkey AND l_suppkey = ps_suppkey ORDER BY l_partkey`
-	ex = physCompile(t, prefix, cat, Physical{}).Explain()
-	if !strings.Contains(ex, "(elided: mpsm join output ordered by l_partkey)") {
-		t.Errorf("prefix elision missing:\n%s", ex)
-	}
-
-	// Positive: the order requirement alone flips a below-threshold
-	// build (filtered orders) to MPSM because the sort becomes free.
-	flip := `SELECT l_orderkey, o_orderdate FROM lineitem, orders
-		WHERE l_orderkey = o_orderkey AND o_orderdate < DATE '1994-01-01' ORDER BY l_orderkey`
-	pf := physCompile(t, flip, cat, Physical{})
-	ex = pf.Explain()
-	if !strings.Contains(ex, "orders output]") || !strings.Contains(ex, "(elided: mpsm join output ordered by l_orderkey)") {
-		t.Errorf("order-driven mpsm flip missing:\n%s", ex)
-	}
-	gf, _ := goldenSession().Run(pf)
-	mustMonotone(t, "flipped", gf)
-	wf, _ := goldenSession().Run(physCompile(t, flip, cat, Physical{Join: "hash"}))
-	sameResults(t, "flipped vs hash+sort", gf, wf, false)
-
-	// Negative: DESC never matches MPSM's ascending output.
-	desc := `SELECT l_orderkey, o_orderdate FROM lineitem, orders WHERE l_orderkey = o_orderkey ORDER BY l_orderkey DESC`
-	ex = physCompile(t, desc, cat, Physical{}).Explain()
-	if strings.Contains(ex, "elided") {
-		t.Errorf("DESC must keep the sort:\n%s", ex)
-	}
-	if !strings.Contains(ex, "join mpsm") {
-		t.Errorf("DESC case should still pick mpsm on size:\n%s", ex)
-	}
-
-	// Negative: a trailing non-key column keeps the sort.
-	extra := `SELECT l_orderkey, o_orderdate FROM lineitem, orders WHERE l_orderkey = o_orderkey ORDER BY l_orderkey, o_orderdate`
-	ex = physCompile(t, extra, cat, Physical{}).Explain()
-	if strings.Contains(ex, "elided") {
-		t.Errorf("extra sort key must keep the sort:\n%s", ex)
-	}
-
-	// Negative: an aggregation above the join is a full breaker — its
-	// output order is the group table's, never the join's.
-	agg := `SELECT l_orderkey, SUM(l_quantity) AS q FROM lineitem, orders WHERE l_orderkey = o_orderkey GROUP BY l_orderkey ORDER BY l_orderkey`
-	ex = physCompile(t, agg, cat, Physical{}).Explain()
-	if strings.Contains(ex, "elided") {
-		t.Errorf("aggregation above the join must keep the sort:\n%s", ex)
+	if _, err := CompileOpts("SELECT id FROM emp", "sql", testCatalog(), Physical{Agg: "sorted"}); err == nil {
+		t.Error("CompileOpts accepted an unknown aggregation strategy")
 	}
 }

@@ -39,16 +39,29 @@ func (c *compiler) newAggRuntime(n *Node) *aggRuntime {
 
 func aggPartition(h uint64) int { return int(h % aggNumPartitions) }
 
+// sinkWeight is the CPU weight phase 1 charges per consumed row.
+func (rt *aggRuntime) sinkWeight() float64 {
+	w := 2.0
+	for _, g := range rt.groups {
+		w += g.E.weight() * exprNodeWeight
+	}
+	for _, a := range rt.aggs {
+		if a.E != nil {
+			w += a.E.weight() * exprNodeWeight
+		}
+	}
+	return w
+}
+
 // sink compiles the phase-1 front half both engines share: per row it
 // encodes the group key into e.key, evaluates the aggregate inputs into
 // the worker's tuple scratch, charges the CPU weight, and hands the key's
 // hash and the tuple to absorb.
 func (rt *aggRuntime) sink(pc *pipeCtx, absorb func(e *Ectx, h uint64, tuple []float64)) rowFn {
 	groupFns := make([]evalFn, len(rt.groups))
-	w := 2.0
+	w := rt.sinkWeight()
 	for i, g := range rt.groups {
 		groupFns[i], _ = g.E.compile(pc)
-		w += g.E.weight() * exprNodeWeight
 	}
 	nAggs := len(rt.aggs)
 	aggFns := make([]evalFn, nAggs)
@@ -60,7 +73,6 @@ func (rt *aggRuntime) sink(pc *pipeCtx, absorb func(e *Ectx, h uint64, tuple []f
 		fn, t := a.E.compile(pc)
 		aggFns[i] = fn
 		aggIsFloat[i] = t == TFloat
-		w += a.E.weight() * exprNodeWeight
 	}
 	tuples := make([][]float64, rt.c.workers)
 	return func(e *Ectx) {
@@ -112,7 +124,7 @@ func (rt *aggRuntime) phase2(name string, tails []tailJob, f consumerFactory,
 	for i, a := range rt.aggs {
 		pc2.addReg(a.Name, rt.outTypes[i])
 	}
-	down := f(pc2)
+	down := f(pc2).row
 	sockets := c.sockets
 	globalAgg := len(rt.groups) == 0
 	merged := make([]*groupTable, c.workers) // per worker, reused across its tasks
@@ -185,49 +197,196 @@ func (rt *aggRuntime) phase2(name string, tails []tailJob, f consumerFactory,
 	return []tailJob{job}
 }
 
+// sharedAgg is the phase-1 state of the two-phase aggregation: one
+// capacity-capped pre-aggregation table per worker, and the overflow
+// partitions cold keys spill to.
+type sharedAgg struct {
+	rt       *aggRuntime
+	capacity int
+	locals   []*groupTable
+	spills   [][]groupRows // [worker][partition]
+	rowW     int64         // modelled bytes of one spilled row
+}
+
+func (c *compiler) newSharedAgg(n *Node) *sharedAgg {
+	return &sharedAgg{
+		rt: c.newAggRuntime(n), capacity: DefaultPreAggCapacity,
+		locals: make([]*groupTable, c.workers),
+		spills: make([][]groupRows, c.workers),
+		rowW:   int64(rowWidth(n.out)),
+	}
+}
+
+func (s *sharedAgg) local(wid int) *groupTable {
+	if s.locals[wid] == nil {
+		s.locals[wid] = newGroupTable(s.rt.aggs)
+	}
+	return s.locals[wid]
+}
+
+func (s *sharedAgg) spillOf(wid, pid int) *groupRows {
+	if s.spills[wid] == nil {
+		s.spills[wid] = make([]groupRows, aggNumPartitions)
+		for p := range s.spills[wid] {
+			s.spills[wid][p].aggs = s.rt.aggs
+		}
+	}
+	return &s.spills[wid][pid]
+}
+
+// group returns the key's group in the worker's table, creating it while
+// the table has room; -1 means the key is cold.
+func (s *sharedAgg) group(local *groupTable, h uint64, key []byte) int {
+	g := local.find(h, key)
+	if g < 0 && local.len() < s.capacity {
+		g = local.insert(h, key)
+	}
+	return g
+}
+
+// spill routes the single-tuple partial of a cold key (in e.key) straight
+// to its overflow partition, without creating a group.
+func (s *sharedAgg) spill(e *Ectx, h uint64, tuple []float64) {
+	buf := s.spillOf(e.W.ID, aggPartition(h))
+	buf.merge(buf.add(h, e.key), tuple, 1)
+	e.writeBytes += s.rowW
+}
+
+func (s *sharedAgg) absorb(e *Ectx, h uint64, tuple []float64) {
+	local := s.local(e.W.ID)
+	if g := s.group(local, h, e.key); g >= 0 {
+		local.merge(g, tuple, 1)
+	} else {
+		s.spill(e, h, tuple)
+	}
+}
+
+// keyPart is one group key of the batch sink: a scan column encoded
+// straight from its slice, or (col < 0) any other expression evaluated by
+// the row evaluator over the registers it reads.
+type keyPart struct {
+	t    Type
+	col  int
+	fn   evalFn
+	fill regFill
+}
+
+// batchSink is phase 1 for an aggregation sitting directly on a scan
+// pipeline: per chunk it evaluates the aggregate inputs as vector kernels
+// over the selected rows, resolves each row's group against the worker's
+// table (spilling cold keys row by row exactly as absorb does), then folds
+// each aggregate's vector in one loop. Rows reach every accumulator in
+// scan order, so the sums are bit-identical to the row sink's.
+func (s *sharedAgg) batchSink(pc *pipeCtx) func(e *Ectx, b *colBatch) {
+	rt := s.rt
+	w := rt.sinkWeight()
+	keys := make([]keyPart, len(rt.groups))
+	for i, g := range rt.groups {
+		keys[i] = keyPart{t: rt.groupTypes[i], col: -1}
+		if g.E.kind == eCol {
+			k, _ := pc.lookup(g.E.name)
+			keys[i].col = pc.scanCols[k]
+		} else {
+			keys[i].fn, _, keys[i].fill = pc.rowEval(g.E)
+		}
+	}
+	prog := &vecProg{pc: pc}
+	slots := make([]int, len(rt.aggs)) // -1: the aggregate folds no value
+	for k, a := range rt.aggs {
+		slots[k] = -1
+		if a.E != nil && a.Kind != AggCount {
+			slots[k] = prog.slot(a.E)
+		}
+	}
+	pc.vecSlots = len(prog.exprs)
+	globalHash := hashBytes(nil)
+	tuples := make([][]float64, rt.c.workers)
+	return func(e *Ectx, b *colBatch) {
+		rows := b.rows()
+		if rows == 0 {
+			return
+		}
+		e.cpuUnits += w * float64(rows)
+		for _, step := range prog.steps {
+			step(e, b)
+		}
+		local := s.local(e.W.ID)
+		if len(keys) == 0 {
+			e.key = e.key[:0]
+			if g := s.group(local, globalHash, e.key); g >= 0 {
+				for k, sl := range slots {
+					if sl >= 0 {
+						local.foldInto(g, k, e.vecs[sl][:rows])
+					}
+				}
+				local.counts[g] += int64(rows)
+				return
+			}
+			// Only a zero-capacity table sends the one global group down
+			// the cold path below, row by row.
+		}
+		gids := e.gids[:rows]
+		for j := range gids {
+			r := b.row(j)
+			e.key = e.key[:0]
+			for i := range keys {
+				switch kp := &keys[i]; {
+				case kp.col < 0:
+					kp.fill.row(e, b.cols, r)
+					e.key = encodeVal(e.key, kp.t, kp.fn(e))
+				case kp.t == TInt:
+					e.key = appendKeyInt(e.key, b.cols[kp.col].Ints[r])
+				case kp.t == TFloat:
+					e.key = appendKeyFloat(e.key, b.cols[kp.col].Flts[r])
+				default:
+					e.key = appendKeyStr(e.key, b.cols[kp.col].Strs[r])
+				}
+			}
+			h := hashBytes(e.key)
+			g := s.group(local, h, e.key)
+			if g < 0 {
+				tuple := tuples[e.W.ID]
+				if tuple == nil {
+					tuple = make([]float64, len(slots))
+					tuples[e.W.ID] = tuple
+				}
+				for k, sl := range slots {
+					if sl >= 0 {
+						tuple[k] = e.vecs[sl][j]
+					}
+				}
+				s.spill(e, h, tuple)
+			}
+			gids[j] = int32(g)
+		}
+		for k, sl := range slots {
+			if sl >= 0 {
+				local.fold(gids, k, e.vecs[sl][:rows])
+			}
+		}
+		for _, g := range gids {
+			if g >= 0 {
+				local.counts[g]++
+			}
+		}
+	}
+}
+
 // produceAgg compiles the paper's two-phase parallel aggregation: phase 1
 // pre-aggregates heavy hitters in a fixed-size thread-local table and
 // spills cold keys to hash partitions; phase 2 assigns each partition to
 // one worker (§4.4).
 func (c *compiler) produceAgg(n *Node, f consumerFactory) []tailJob {
-	rt := c.newAggRuntime(n)
-	capacity := DefaultPreAggCapacity
-	locals := make([]*groupTable, c.workers)
-	spills := make([][]groupRows, c.workers) // [worker][partition]
-	spillOf := func(wid, pid int) *groupRows {
-		if spills[wid] == nil {
-			spills[wid] = make([]groupRows, aggNumPartitions)
-			for p := range spills[wid] {
-				spills[wid][p].aggs = rt.aggs
-			}
+	s := c.newSharedAgg(n)
+	rt := s.rt
+	tails := n.child.produce(c, func(pc *pipeCtx) consumer {
+		cons := consumer{row: rt.sink(pc, s.absorb)}
+		if pc.scanCols != nil && len(pc.regs) == len(pc.scanCols) {
+			// Every register is a scan column, so nothing but (zero-cost)
+			// projections can sit between the scan and this sink.
+			cons.batch = s.batchSink(pc)
 		}
-		return &spills[wid][pid]
-	}
-	rowW := int64(rowWidth(n.out))
-
-	tails := n.child.produce(c, func(pc *pipeCtx) rowFn {
-		return rt.sink(pc, func(e *Ectx, h uint64, tuple []float64) {
-			wid := e.W.ID
-			local := locals[wid]
-			if local == nil {
-				local = newGroupTable(rt.aggs)
-				locals[wid] = local
-			}
-			g := local.find(h, e.key)
-			if g < 0 {
-				if local.len() >= capacity {
-					// Cold key: the local table is full; route the
-					// single-tuple partial straight to its overflow
-					// partition, without creating a group.
-					buf := spillOf(wid, aggPartition(h))
-					buf.merge(buf.add(h, e.key), tuple, 1)
-					e.writeBytes += rowW
-					return
-				}
-				g = local.insert(h, e.key)
-			}
-			local.merge(g, tuple, 1)
-		})
+		return cons
 	})
 
 	return rt.phase2("aggregate", tails, f,
@@ -235,33 +394,33 @@ func (c *compiler) produceAgg(n *Node, f consumerFactory) []tailJob {
 			// Flush every worker's pre-aggregation table into the
 			// overflow partitions; afterwards the partitions hold the
 			// complete grouped data.
-			for wid, local := range locals {
+			for wid, local := range s.locals {
 				if local == nil {
 					continue
 				}
 				for g, h := range local.hashes {
-					buf := spillOf(wid, aggPartition(h))
+					buf := s.spillOf(wid, aggPartition(h))
 					buf.merge(buf.add(h, local.key(g)), local.accsOf(g), local.counts[g])
 				}
 			}
 		},
 		func() int64 {
 			var total int64
-			for wid := range spills {
-				for p := range spills[wid] {
-					total += int64(spills[wid][p].len())
+			for wid := range s.spills {
+				for p := range s.spills[wid] {
+					total += int64(s.spills[wid][p].len())
 				}
-				if locals[wid] != nil {
-					total += int64(locals[wid].len())
+				if s.locals[wid] != nil {
+					total += int64(s.locals[wid].len())
 				}
 			}
 			return total
 		},
 		func(wid, pid int) *groupRows {
-			if spills[wid] == nil {
+			if s.spills[wid] == nil {
 				return nil
 			}
-			return &spills[wid][pid]
+			return &s.spills[wid][pid]
 		})
 }
 
@@ -284,8 +443,8 @@ func (c *compiler) producePartitionedAgg(n *Node, f consumerFactory) []tailJob {
 	parts := make([][]*groupTable, c.workers)
 	rowW := int64(rowWidth(n.out))
 
-	tails := n.child.produce(c, func(pc *pipeCtx) rowFn {
-		return rt.sink(pc, func(e *Ectx, h uint64, tuple []float64) {
+	tails := n.child.produce(c, func(pc *pipeCtx) consumer {
+		return consumer{row: rt.sink(pc, func(e *Ectx, h uint64, tuple []float64) {
 			wid := e.W.ID
 			if parts[wid] == nil {
 				parts[wid] = make([]*groupTable, aggNumPartitions)
@@ -302,7 +461,7 @@ func (c *compiler) producePartitionedAgg(n *Node, f consumerFactory) []tailJob {
 				e.writeBytes += rowW
 			}
 			tab.merge(g, tuple, 1)
-		})
+		})}
 	})
 
 	return rt.phase2("aggregate-part", tails, f, nil,

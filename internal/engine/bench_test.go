@@ -48,6 +48,78 @@ func BenchmarkScanFilterAgg(b *testing.B) {
 	b.SetBytes(200_000 * 8)
 }
 
+// benchLineitem is a lineitem-shaped table for the scan front end's
+// benchmarks: a date, three decimals, a tax rate and two flag columns
+// that combine to four groups.
+func benchLineitem(rows int) *storage.Table {
+	b := storage.NewBuilder("bench", storage.Schema{
+		{Name: "d", Type: storage.I64},
+		{Name: "qty", Type: storage.F64},
+		{Name: "price", Type: storage.F64},
+		{Name: "disc", Type: storage.F64},
+		{Name: "tax", Type: storage.F64},
+		{Name: "flag", Type: storage.Str},
+		{Name: "status", Type: storage.Str},
+	}, 16, "")
+	for i := 0; i < rows; i++ {
+		flag, status := "N", "O"
+		if i%2 == 0 {
+			flag, status = []string{"A", "R", "N"}[i%3], "F"
+		}
+		b.Append(storage.Row{int64(i * 7 % 2520), float64(1 + i%50), 900 + float64(i%100000)/10,
+			float64(i%11) / 100, float64(i%9) / 100, flag, status})
+	}
+	return b.Build(storage.NUMAAware, 4)
+}
+
+// BenchmarkScanFilterSelective is TPC-H Q6's shape: three numeric
+// conjuncts keeping about 2 % of the rows, then a global SUM(a*b).
+func BenchmarkScanFilterSelective(b *testing.B) {
+	const rows = 400_000
+	tbl := benchLineitem(rows)
+	b.ReportAllocs()
+	b.SetBytes(rows * 4 * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := benchSession()
+		p := NewPlan("bench")
+		p.Return(p.Scan(tbl, "d", "qty", "price", "disc").
+			Filter(And(Ge(Col("d"), ConstI(365)), Lt(Col("d"), ConstI(730)),
+				Between(Col("disc"), ConstF(0.05), ConstF(0.07)), Lt(Col("qty"), ConstI(24)))).
+			GroupBy(nil, []AggDef{Sum("revenue", Mul(Col("price"), Col("disc")))}))
+		res, _ := s.Run(p)
+		if res.NumRows() != 1 || res.Rows()[0][0].F <= 0 {
+			b.Fatal("bad result")
+		}
+	}
+}
+
+// BenchmarkScanGroupByLowCard is TPC-H Q1's shape: nearly every row
+// passes the filter into four groups keyed by two short strings, with
+// arithmetic aggregates sharing the subexpression price*(1-disc).
+func BenchmarkScanGroupByLowCard(b *testing.B) {
+	const rows = 400_000
+	tbl := benchLineitem(rows)
+	disc := Mul(Col("price"), Sub(ConstI(1), Col("disc")))
+	b.ReportAllocs()
+	b.SetBytes(rows * (5*8 + 2*17)) // five numeric columns, two one-byte strings and their headers
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := benchSession()
+		p := NewPlan("bench")
+		p.Return(p.Scan(tbl, "d", "qty", "price", "disc", "tax", "flag", "status").
+			Filter(Le(Col("d"), ConstI(2470))).
+			GroupBy([]NamedExpr{N("flag", Col("flag")), N("status", Col("status"))},
+				[]AggDef{Sum("sum_qty", Col("qty")), Sum("sum_price", Col("price")), Sum("sum_disc", disc),
+					Sum("sum_charge", Mul(disc, Add(ConstI(1), Col("tax")))), Avg("avg_qty", Col("qty")),
+					Avg("avg_disc", Col("disc")), Count("n")}))
+		res, _ := s.Run(p)
+		if res.NumRows() != 4 {
+			b.Fatalf("groups %d", res.NumRows())
+		}
+	}
+}
+
 func BenchmarkHashJoinBuildProbe(b *testing.B) {
 	probe := benchTable(200_000)
 	build := benchTable(10_000)

@@ -15,11 +15,22 @@ const exprNodeWeight = 0.25
 
 type tailJob = *dispatch.PipelineJob
 
+// consumer is what the downstream chain of a pipeline offers its source:
+// the per-row entry every operator has and, from a consumer that can work
+// on column slices itself (the aggregation sink), a batch entry taking one
+// filtered scan chunk at a time. Only a scan-sourced pipeline whose
+// consumer sits directly on the scan uses the batch entry; a pipelined
+// operator wraps its parent's row entry and so offers none.
+type consumer struct {
+	row   rowFn
+	batch func(e *Ectx, b *colBatch)
+}
+
 // consumerFactory builds the downstream consumer chain of an operator
 // within a concrete pipeline context. Operators that source new pipelines
 // (scan, aggregation phase 2, unmatched scan) create the context and call
 // the factory once; Union calls it once per input pipeline.
-type consumerFactory func(pc *pipeCtx) rowFn
+type consumerFactory func(pc *pipeCtx) consumer
 
 // compiler turns a Plan into dispatch pipeline jobs. It mirrors HyPer's
 // produce/consume compilation: each operator either wraps the consumer
@@ -73,6 +84,14 @@ type pipeCtx struct {
 	deps         []tailJob // jobs this pipeline's source must wait for
 	states       []*Ectx   // per worker, lazily created
 	scratchSizes []int     // per-operator scratch slot sizes
+
+	// scanCols is set on scan-sourced pipelines: register k, for k <
+	// len(scanCols), is loaded from partition column scanCols[k].
+	// used[k] records that a downstream consumer resolved register k; the
+	// scan fills only those, and only for rows that pass its filter.
+	scanCols []int
+	used     []bool
+	vecSlots int // float64 vectors the batch consumer needs (Ectx.vecs)
 }
 
 // addScratch reserves a per-worker scratch slot of n values for one
@@ -86,7 +105,18 @@ func (c *compiler) newPipe() *pipeCtx {
 	return &pipeCtx{c: c, states: make([]*Ectx, c.workers)}
 }
 
+// resolve is how downstream consumers find their input registers.
 func (pc *pipeCtx) resolve(name string) (int, Type) {
+	k, t := pc.lookup(name)
+	if k < len(pc.used) {
+		pc.used[k] = true
+	}
+	return k, t
+}
+
+// lookup finds a register without recording a consumer's need for it;
+// the scan's own kernels read columns, not registers.
+func (pc *pipeCtx) lookup(name string) (int, Type) {
 	for i, r := range pc.regs {
 		if r.Name == name {
 			return i, r.Type
@@ -129,26 +159,32 @@ func rowWidth(regs []Reg) float64 {
 }
 
 // driver builds n one-row driver partitions used to schedule
-// partition-at-a-time tasks (aggregation phase 2, local sorts, merges).
-// homes assigns NUMA affinity per task so locality-aware dispatch applies.
+// partition-at-a-time tasks (aggregation phase 2, local sorts, merges):
+// partition i's single value is i. homes assigns NUMA affinity per task
+// so locality-aware dispatch applies. Everything is cut from a few slabs —
+// phase 2 alone asks for 64 tasks per aggregation.
 type driver struct {
 	parts []*storage.Partition
-	index map[*storage.Partition]int
 }
 
 func newDriver(n int, home func(i int) numa.SocketID) *driver {
-	d := &driver{index: make(map[*storage.Partition]int, n)}
-	for i := 0; i < n; i++ {
-		col := storage.NewColumn("task", storage.I64)
-		col.AppendI64(int64(i))
-		p := &storage.Partition{Home: home(i), Worker: -1, Cols: []*storage.Column{col}}
-		d.parts = append(d.parts, p)
-		d.index[p] = i
+	tasks := make([]int64, n)
+	cols := make([]storage.Column, n)
+	colPtrs := make([]*storage.Column, n)
+	parts := make([]storage.Partition, n)
+	d := &driver{parts: make([]*storage.Partition, n)}
+	for i := range parts {
+		tasks[i] = int64(i)
+		cols[i] = storage.Column{Name: "task", Type: storage.I64, Ints: tasks[i : i+1 : i+1]}
+		colPtrs[i] = &cols[i]
+		parts[i] = storage.Partition{Home: home(i), Worker: -1, Cols: colPtrs[i : i+1 : i+1]}
+		d.parts[i] = &parts[i]
 	}
 	return d
 }
 
-func (d *driver) task(m storage.Morsel) int { return d.index[m.Part] }
+// task returns the task number a driver morsel stands for.
+func (d *driver) task(m storage.Morsel) int { return int(m.Part.Cols[0].Ints[m.Begin]) }
 
 // serialBarrier inserts a single-task pipeline that charges the given
 // cost to one worker while all others wait — the serialized coordination
@@ -178,29 +214,29 @@ func (n *Node) produce(c *compiler, f consumerFactory) []tailJob {
 	case nFilter:
 		pred := n.pred
 		w := pred.weight() * exprNodeWeight
-		return n.child.produce(c, func(pc *pipeCtx) rowFn {
+		return n.child.produce(c, func(pc *pipeCtx) consumer {
 			fn, t := pred.compile(pc)
 			mustBool(t, "filter predicate")
-			down := f(pc)
-			return func(e *Ectx) {
+			down := f(pc).row
+			return consumer{row: func(e *Ectx) {
 				e.cpuUnits += w
 				if fn(e).I != 0 {
 					down(e)
 				}
-			}
+			}}
 		})
 	case nMap:
 		ex := n.mapEx
 		w := ex.E.weight() * exprNodeWeight
-		return n.child.produce(c, func(pc *pipeCtx) rowFn {
+		return n.child.produce(c, func(pc *pipeCtx) consumer {
 			fn, t := ex.E.compile(pc)
 			idx := pc.addReg(ex.Name, t)
-			down := f(pc)
-			return func(e *Ectx) {
+			down := f(pc).row
+			return consumer{row: func(e *Ectx) {
 				e.cpuUnits += w
 				e.Regs[idx] = fn(e)
 				down(e)
-			}
+			}}
 		})
 	case nJoin:
 		return c.produceJoin(n, f)
@@ -231,19 +267,7 @@ func (n *Node) produce(c *compiler, f consumerFactory) []tailJob {
 }
 
 func (c *compiler) produceScan(n *Node, f consumerFactory) []tailJob {
-	pc := c.newPipe()
-	for _, r := range n.out {
-		pc.addReg(r.Name, r.Type)
-	}
-	var filterFn evalFn
-	rowW := 1.0
-	if n.filter != nil {
-		fn, t := n.filter.compile(pc)
-		mustBool(t, "scan filter")
-		filterFn = fn
-		rowW += n.filter.weight() * exprNodeWeight
-	}
-	consume := f(pc)
+	pc, body := c.scanPipe(n.out, n.scanSrc, n.filter, f)
 	table := n.table
 	if n.stream != nil {
 		// Stream scan: morsels arrive through the source while the
@@ -253,8 +277,7 @@ func (c *compiler) produceScan(n *Node, f consumerFactory) []tailJob {
 		if c.sess.Mode != Real {
 			panic("engine: stream scans require Real mode")
 		}
-		job := c.q.AddJob("streamscan("+table.Name+")", nil,
-			scanMorselBody(pc, n.scanSrc, filterFn, rowW, consume)).Streaming()
+		job := c.q.AddJob("streamscan("+table.Name+")", nil, body).Streaming()
 		job.After(pc.deps...)
 		c.streams = append(c.streams, compiledStream{src: n.stream, job: job})
 		return []tailJob{job}
@@ -268,42 +291,85 @@ func (c *compiler) produceScan(n *Node, f consumerFactory) []tailJob {
 		// sealed segments are ever skipped.
 		parts = func() []*storage.Partition { return prunedScanParts(snap.ScanParts(table), pred) }
 	}
-	job := c.q.AddJob("scan("+table.Name+")",
-		parts,
-		scanMorselBody(pc, n.scanSrc, filterFn, rowW, consume))
+	job := c.q.AddJob("scan("+table.Name+")", parts, body)
 	job.After(pc.deps...)
 	return []tailJob{job}
 }
 
-// scanMorselBody is the per-morsel row loop shared by table scans and
-// materialized-buffer scans: fill the leading registers from the listed
-// column indexes, charge rowW CPU units, apply the optional fused
-// filter, feed the consumer, and account the column bytes read.
-func scanMorselBody(pc *pipeCtx, srcIdx []int, filterFn evalFn, rowW float64, consume rowFn) func(*dispatch.Worker, storage.Morsel) {
-	nCols := len(srcIdx)
+// scanPipe opens a pipeline sourced from column partitions — a table or
+// stream scan, or the rescan of a materialized or exchanged buffer: regs
+// are its leading registers, register k backed by partition column
+// srcIdx[k] (nil = column k), filter the optional fused predicate. It
+// returns the pipeline context and the per-morsel body.
+func (c *compiler) scanPipe(regs []Reg, srcIdx []int, filter *Expr, f consumerFactory) (*pipeCtx, func(*dispatch.Worker, storage.Morsel)) {
+	pc := c.newPipe()
+	for _, r := range regs {
+		pc.addReg(r.Name, r.Type)
+	}
+	if srcIdx == nil {
+		srcIdx = make([]int, len(regs))
+		for i := range srcIdx {
+			srcIdx[i] = i
+		}
+	}
+	pc.scanCols = srcIdx
+	pc.used = make([]bool, len(srcIdx))
+	rowW := 1.0
+	var kernels []selKernel
+	if filter != nil {
+		kernels = compileFilter(pc, filter)
+		rowW += filter.weight() * exprNodeWeight
+	}
+	return pc, scanMorselBody(pc, kernels, rowW, f(pc))
+}
+
+// scanMorselBody is the per-morsel loop every column-sourced pipeline
+// shares. The morsel is cut into chunks of scanChunkRows; per chunk the
+// filter's kernels narrow a selection (an unfiltered scan has none and
+// stays dense), then either the consumer takes the chunk whole through its
+// batch entry, or the registers some consumer resolved are filled for each
+// surviving row and the row entry runs. Filter-only columns never become
+// Vals. The cost model is charged what the row-at-a-time loop charged:
+// rowW CPU units per scanned row and the sequential read of every listed
+// column.
+func scanMorselBody(pc *pipeCtx, kernels []selKernel, rowW float64, cons consumer) func(*dispatch.Worker, storage.Morsel) {
+	var used []int
+	for k, u := range pc.used {
+		if u {
+			used = append(used, k)
+		}
+	}
+	fill := pc.fillFor(used)
 	return func(w *dispatch.Worker, m storage.Morsel) {
 		e := pc.ectx(w)
 		e.reset(w)
-		cols := m.Part.Cols
-		for r := m.Begin; r < m.End; r++ {
-			for k := 0; k < nCols; k++ {
-				col := cols[srcIdx[k]]
-				switch col.Type {
-				case storage.I64:
-					e.Regs[k] = Val{I: col.Ints[r]}
-				case storage.F64:
-					e.Regs[k] = Val{F: col.Flts[r]}
-				default:
-					e.Regs[k] = Val{S: col.Strs[r]}
+		e.scanScratch = borrowScanScratch(pc.vecSlots)
+		b := &e.batch
+		b.cols = m.Part.Cols
+		for b.base = m.Begin; b.base < m.End; b.base += scanChunkRows {
+			b.n = min(scanChunkRows, m.End-b.base)
+			e.cpuUnits += rowW * float64(b.n)
+			b.sel = nil
+			if kernels != nil {
+				b.sel = identitySel[:b.n]
+				for _, k := range kernels {
+					if b.sel = e.sel[:k(e, b, b.sel, e.sel[:])]; len(b.sel) == 0 {
+						break
+					}
 				}
 			}
-			e.cpuUnits += rowW
-			if filterFn != nil && filterFn(e).I == 0 {
+			if cons.batch != nil {
+				cons.batch(e, b)
 				continue
 			}
-			consume(e)
+			for j, n := 0, b.rows(); j < n; j++ {
+				fill.row(e, b.cols, b.row(j))
+				cons.row(e)
+			}
 		}
-		w.Tracker.ReadSeq(m.Home(), m.Part.BytesRange(m.Begin, m.End, srcIdx))
+		e.scanScratch.release()
+		e.scanScratch = nil
+		w.Tracker.ReadSeq(m.Home(), m.Part.BytesRange(m.Begin, m.End, pc.scanCols))
 		e.flush()
 	}
 }
@@ -334,18 +400,8 @@ func (c *compiler) produceMaterialize(n *Node, f consumerFactory) []tailJob {
 		job.After(tails...).WithMorselRows(1)
 		mc.barrier = job
 	}
-	pc := c.newPipe()
-	for _, r := range n.out {
-		pc.addReg(r.Name, r.Type)
-	}
-	consume := f(pc)
-	srcIdx := make([]int, len(n.out))
-	for i := range srcIdx {
-		srcIdx[i] = i
-	}
-	job := c.q.AddJob("matscan",
-		func() []*storage.Partition { return mc.tab.Parts },
-		scanMorselBody(pc, srcIdx, nil, 1, consume))
+	pc, body := c.scanPipe(n.out, nil, nil, f)
+	job := c.q.AddJob("matscan", func() []*storage.Partition { return mc.tab.Parts }, body)
 	job.After(append(pc.deps, mc.barrier)...)
 	return []tailJob{job}
 }

@@ -144,18 +144,8 @@ func (c *compiler) produceExchange(n *Node, f consumerFactory) []tailJob {
 		})
 	barrier.After(tails...).WithMorselRows(1)
 
-	pc := c.newPipe()
-	for _, r := range n.out {
-		pc.addReg(r.Name, r.Type)
-	}
-	consume := f(pc)
-	srcIdx := make([]int, len(n.out))
-	for i := range srcIdx {
-		srcIdx[i] = i
-	}
-	job := c.q.AddJob(label+" recv",
-		func() []*storage.Partition { return tab.Parts },
-		scanMorselBody(pc, srcIdx, nil, 1, consume))
+	pc, body := c.scanPipe(n.out, nil, nil, f)
+	job := c.q.AddJob(label+" recv", func() []*storage.Partition { return tab.Parts }, body)
 	job.After(append(pc.deps, barrier)...)
 	return []tailJob{job}
 }
@@ -186,17 +176,8 @@ func (c *compiler) produceStreamExchange(n *Node, f consumerFactory) []tailJob {
 		})
 	closer.After(tails...).WithMorselRows(1)
 
-	pc := c.newPipe()
-	for _, r := range n.out {
-		pc.addReg(r.Name, r.Type)
-	}
-	consume := f(pc)
-	srcIdx := make([]int, len(n.out))
-	for i := range srcIdx {
-		srcIdx[i] = i
-	}
-	job := c.q.AddJob(label+" recv", nil,
-		scanMorselBody(pc, srcIdx, nil, 1, consume)).Streaming()
+	pc, body := c.scanPipe(n.out, nil, nil, f)
+	job := c.q.AddJob(label+" recv", nil, body).Streaming()
 	job.After(pc.deps...)
 	c.streams = append(c.streams, compiledStream{src: src, job: job})
 	return []tailJob{job}

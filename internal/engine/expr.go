@@ -263,27 +263,15 @@ func (x *Expr) compile(rc regResolver) (evalFn, Type) {
 		if t != TInt {
 			panic("engine: IN (int list) over non-int expression")
 		}
-		set := make(map[int64]struct{}, len(x.ints))
-		for _, v := range x.ints {
-			set[v] = struct{}{}
-		}
-		return func(e *Ectx) Val {
-			_, ok := set[fn(e).I]
-			return boolVal(ok)
-		}, TInt
+		set := newInSet(x.ints)
+		return func(e *Ectx) Val { return boolVal(set.has(fn(e).I)) }, TInt
 	case eInStr:
 		fn, t := x.args[0].compile(rc)
 		if t != TStr {
 			panic("engine: IN (string list) over non-string expression")
 		}
-		set := make(map[string]struct{}, len(x.strs))
-		for _, v := range x.strs {
-			set[v] = struct{}{}
-		}
-		return func(e *Ectx) Val {
-			_, ok := set[fn(e).S]
-			return boolVal(ok)
-		}, TInt
+		set := newInSet(x.strs)
+		return func(e *Ectx) Val { return boolVal(set.has(fn(e).S)) }, TInt
 	case eLike, eNotLike:
 		fn, t := x.args[0].compile(rc)
 		if t != TStr {
@@ -346,6 +334,42 @@ func (x *Expr) compile(rc regResolver) (evalFn, Type) {
 	default:
 		panic(fmt.Sprintf("engine: unknown expression kind %d", x.kind))
 	}
+}
+
+// inSetLinearMax is the longest IN list tested by comparing its values
+// one by one; hashing a key costs more than that many compares.
+const inSetLinearMax = 8
+
+// inSet is the membership test of IN (literal list), shared by the row
+// evaluator and the scan's selection kernels: a linear compare for the
+// short lists queries actually write, a map beyond them.
+type inSet[T comparable] struct {
+	list []T
+	m    map[T]struct{}
+}
+
+func newInSet[T comparable](vals []T) *inSet[T] {
+	if len(vals) <= inSetLinearMax {
+		return &inSet[T]{list: vals}
+	}
+	s := &inSet[T]{m: make(map[T]struct{}, len(vals))}
+	for _, v := range vals {
+		s.m[v] = struct{}{}
+	}
+	return s
+}
+
+func (s *inSet[T]) has(v T) bool {
+	if s.m != nil {
+		_, ok := s.m[v]
+		return ok
+	}
+	for _, x := range s.list {
+		if x == v {
+			return true
+		}
+	}
+	return false
 }
 
 func mustBool(t Type, what string) {

@@ -85,6 +85,58 @@ func (r *groupRows) merge(i int, accs []float64, count int64) {
 	r.counts[i] += count
 }
 
+// fold merges one input column into aggregate k: vals[j] goes to entry
+// gids[j], and rows with a negative entry (cold keys, already spilled)
+// are skipped. It is merge turned sideways — one aggregate over many
+// tuples instead of many aggregates over one.
+func (r *groupRows) fold(gids []int32, k int, vals []float64) {
+	n, accs := len(r.aggs), r.accs
+	switch r.aggs[k].Kind {
+	case AggSum, AggAvg:
+		for j, g := range gids {
+			if g >= 0 {
+				accs[int(g)*n+k] += vals[j]
+			}
+		}
+	case AggMin:
+		for j, g := range gids {
+			if g >= 0 && vals[j] < accs[int(g)*n+k] {
+				accs[int(g)*n+k] = vals[j]
+			}
+		}
+	case AggMax:
+		for j, g := range gids {
+			if g >= 0 && vals[j] > accs[int(g)*n+k] {
+				accs[int(g)*n+k] = vals[j]
+			}
+		}
+	}
+}
+
+// foldInto is fold with every value going to the one entry g.
+func (r *groupRows) foldInto(g, k int, vals []float64) {
+	acc := r.accs[g*len(r.aggs)+k]
+	switch r.aggs[k].Kind {
+	case AggSum, AggAvg:
+		for _, v := range vals {
+			acc += v
+		}
+	case AggMin:
+		for _, v := range vals {
+			if v < acc {
+				acc = v
+			}
+		}
+	case AggMax:
+		for _, v := range vals {
+			if v > acc {
+				acc = v
+			}
+		}
+	}
+	r.accs[g*len(r.aggs)+k] = acc
+}
+
 // output converts aggregate k of entry i to its output value.
 func (r *groupRows) output(i, k int, outType Type) Val {
 	switch r.aggs[k].Kind {

@@ -81,7 +81,7 @@ func (c *compiler) produceJoin(n *Node, f consumerFactory) []tailJob {
 	// ---- Build phase 1: materialize into NUMA-local areas.
 	buildKeys := n.buildKeys
 	planDriven := c.sess.PlanDriven
-	buildTails := n.build.produce(c, func(pc *pipeCtx) rowFn {
+	buildTails := n.build.produce(c, func(pc *pipeCtx) consumer {
 		keyFns := make([]evalFn, len(buildKeys))
 		keyW := 0.0
 		for i, bk := range buildKeys {
@@ -96,7 +96,7 @@ func (c *compiler) produceJoin(n *Node, f consumerFactory) []tailJob {
 		types := rt.keyTypes
 		width := rowWidth(rt.buildSchema) + float64(8*(len(types)+3))
 		sidx := pc.addScratch(len(types))
-		return func(e *Ectx) {
+		return consumer{row: func(e *Ectx) {
 			a := rt.areas.ForWorker(e.W.ID, e.W.Socket())
 			cols := a.Cols
 			for i, si := range srcIdx {
@@ -120,7 +120,7 @@ func (c *compiler) produceJoin(n *Node, f consumerFactory) []tailJob {
 				e.writeBytes += int64(width)
 				e.shuffleBytes += int64(width)
 			}
-		}
+		}}
 	})
 
 	if planDriven {
@@ -162,7 +162,7 @@ func (c *compiler) produceJoin(n *Node, f consumerFactory) []tailJob {
 	payload := n.payload
 	residual := n.residual
 	kind := n.joinKind
-	tails := n.child.produce(c, func(pc *pipeCtx) rowFn {
+	tails := n.child.produce(c, func(pc *pipeCtx) consumer {
 		pc.deps = append(pc.deps, phase2)
 		keyFns := make([]evalFn, len(probeKeys))
 		keyW := 0.0
@@ -191,8 +191,8 @@ func (c *compiler) produceJoin(n *Node, f consumerFactory) []tailJob {
 		types := rt.keyTypes
 		interleaved := pc.c.sockets
 		sidx := pc.addScratch(len(types))
-		down := f(pc)
-		return func(e *Ectx) {
+		down := f(pc).row
+		return consumer{row: func(e *Ectx) {
 			kv := e.scratch[sidx]
 			for i, fn := range keyFns {
 				kv[i] = fn(e)
@@ -259,7 +259,7 @@ func (c *compiler) produceJoin(n *Node, f consumerFactory) []tailJob {
 					down(e)
 				}
 			}
-		}
+		}}
 	})
 	jc.probeTails = tails
 	return tails
@@ -280,7 +280,7 @@ func (c *compiler) produceUnmatched(n *Node, f consumerFactory) []tailJob {
 		srcPos[i] = p
 		pc.addReg(name, t)
 	}
-	consume := f(pc)
+	consume := f(pc).row
 	job := c.q.AddJob("unmatched("+c.q.Name+")",
 		func() []*storage.Partition { return rt.areas.Partitions() },
 		func(w *dispatch.Worker, m storage.Morsel) {

@@ -1,0 +1,607 @@
+package engine
+
+import (
+	"math"
+	"slices"
+	"sync"
+
+	"repro/internal/storage"
+)
+
+// The scan front end works a morsel one fixed-size chunk at a time, on
+// the partition's typed column slices rather than on Val registers. The
+// fused scan filter is split into conjuncts, each compiled to a selection
+// kernel that narrows a per-worker []int32 of surviving row offsets;
+// registers are filled afterwards, for the survivors only (see
+// scanMorselBody). A consumer that can work on column slices itself — the
+// aggregation sink — takes the chunk and its selection as a colBatch and
+// evaluates its expressions as vector kernels (vecProg below).
+//
+// The kernels are a second reading of the row evaluator in expr.go and
+// must agree with it bit for bit: compileCmp's three-way comparator makes
+// a NaN operand "equal" (it satisfies =, <=, >= and fails <>, <, >),
+// BETWEEN is an IEEE <= chain a NaN always fails, an int operand compared
+// with a float one is promoted with float64(), and int arithmetic wraps in
+// 64 bits. kernel_test.go checks every kernel against the row closures.
+
+// scanChunkRows is the number of rows a scan hands to its kernels at a
+// time: small enough that the selection and a handful of float64 vectors
+// stay in the L1/L2 cache, large enough to amortise one closure call per
+// kernel per chunk.
+const scanChunkRows = 2048
+
+// identitySel is the selection of a whole chunk; the first kernel of a
+// filtered scan narrows it into the worker's own buffer.
+var identitySel = func() (s [scanChunkRows]int32) {
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
+}()
+
+// scanScratch is the working memory of one worker inside one scan morsel:
+// the selection the filter kernels narrow, and for a batch consumer the
+// group of each selected row and its vectors. A morsel borrows it from a
+// pool shared by all queries, so a scan allocates nothing per morsel and,
+// in the steady state, nothing per query either.
+type scanScratch struct {
+	sel    [scanChunkRows]int32
+	gids   [scanChunkRows]int32
+	vecBuf []float64   // backing of the vectors, scanChunkRows per slot
+	vecs   [][]float64 // current vector of each vecProg slot
+}
+
+var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
+
+func borrowScanScratch(vecSlots int) *scanScratch {
+	s := scanScratchPool.Get().(*scanScratch)
+	if cap(s.vecs) < vecSlots {
+		s.vecBuf = make([]float64, vecSlots*scanChunkRows)
+		s.vecs = make([][]float64, vecSlots)
+	}
+	s.vecs = s.vecs[:vecSlots]
+	return s
+}
+
+func (s *scanScratch) release() {
+	clear(s.vecs) // they may alias column slices
+	scanScratchPool.Put(s)
+}
+
+// colBatch is one chunk of a scan morsel: the partition's columns, the
+// chunk's row range, and the rows the scan filter kept.
+type colBatch struct {
+	cols []*storage.Column
+	base int     // first row of the chunk
+	n    int     // rows in the chunk
+	sel  []int32 // kept row offsets from base, ascending; nil = all n rows
+}
+
+// rows returns the number of selected rows.
+func (b *colBatch) rows() int {
+	if b.sel != nil {
+		return len(b.sel)
+	}
+	return b.n
+}
+
+// row returns the partition row of the j-th selected row.
+func (b *colBatch) row(j int) int {
+	if b.sel != nil {
+		return b.base + int(b.sel[j])
+	}
+	return b.base + j
+}
+
+func (b *colBatch) ints(col int) []int64   { return b.cols[col].Ints[b.base : b.base+b.n] }
+func (b *colBatch) flts(col int) []float64 { return b.cols[col].Flts[b.base : b.base+b.n] }
+func (b *colBatch) strs(col int) []string  { return b.cols[col].Strs[b.base : b.base+b.n] }
+
+// regFill loads a set of scan registers for one row: register reg, of
+// static type t, from partition column col. A register's type never
+// changes, so only the Val field of that type is ever written.
+type regFill []struct {
+	reg, col int
+	t        Type
+}
+
+// fillFor builds the fill of the given scan registers.
+func (pc *pipeCtx) fillFor(regs []int) regFill {
+	f := make(regFill, len(regs))
+	for i, k := range regs {
+		f[i].reg, f[i].col, f[i].t = k, pc.scanCols[k], pc.regs[k].Type
+	}
+	return f
+}
+
+func (f regFill) row(e *Ectx, cols []*storage.Column, r int) {
+	regs := e.Regs
+	for _, rc := range f {
+		col := cols[rc.col]
+		switch rc.t {
+		case TInt:
+			regs[rc.reg].I = col.Ints[r]
+		case TFloat:
+			regs[rc.reg].F = col.Flts[r]
+		default:
+			regs[rc.reg].S = col.Strs[r]
+		}
+	}
+}
+
+// regRefs resolves names like the pipeline does, but records which
+// registers an expression reads instead of marking them as needed by a
+// downstream consumer: a kernel that falls back to the row evaluator
+// fills exactly these before each call.
+type regRefs struct {
+	pc   *pipeCtx
+	regs []int
+}
+
+func (rr *regRefs) resolve(name string) (int, Type) {
+	k, t := rr.pc.lookup(name)
+	if !slices.Contains(rr.regs, k) {
+		rr.regs = append(rr.regs, k)
+	}
+	return k, t
+}
+
+// rowEval compiles x for the row evaluator together with the fill of the
+// registers it reads.
+func (pc *pipeCtx) rowEval(x *Expr) (evalFn, Type, regFill) {
+	refs := &regRefs{pc: pc}
+	fn, t := x.compile(refs)
+	return fn, t, pc.fillFor(refs.regs)
+}
+
+// ---- Selection kernels.
+
+// selKernel narrows a selection: it copies to out the offsets in `in`
+// whose rows satisfy the kernel's conjunct and returns how many it kept.
+// out may be the same slice as in.
+type selKernel func(e *Ectx, b *colBatch, in, out []int32) int
+
+// Cost ranks of the typed kernels: cheaper ones run first, so the dearer
+// ones see fewer rows.
+const (
+	rankNumeric = iota // int / float compares, BETWEEN, IN over ints
+	rankStrEq          // string = / <>: mostly decided by the length
+	rankStrIn          // IN over strings
+	numRanks
+)
+
+// compileFilter splits a fused scan filter into its conjuncts and returns
+// their kernels in evaluation order: the typed kernels by cost rank, then
+// one generic kernel evaluating every remaining conjunct (OR, LIKE, CASE,
+// arithmetic, ...) with the row evaluator. Conjuncts have no side
+// effects, so the order is free.
+func compileFilter(pc *pipeCtx, filter *Expr) []selKernel {
+	var ranked [numRanks][]selKernel
+	var rest []*Expr
+	var split func(x *Expr)
+	split = func(x *Expr) {
+		if x.kind == eAnd {
+			for _, a := range x.args {
+				split(a)
+			}
+			return
+		}
+		if k, rank := typedKernel(pc, x); k != nil {
+			ranked[rank] = append(ranked[rank], k)
+		} else {
+			rest = append(rest, x)
+		}
+	}
+	split(filter)
+	kernels := slices.Concat(ranked[:]...)
+	if len(rest) > 0 {
+		kernels = append(kernels, genericKernel(pc, And(rest...)))
+	}
+	return kernels
+}
+
+// genericKernel evaluates x row by row over the registers it reads.
+func genericKernel(pc *pipeCtx, x *Expr) selKernel {
+	fn, t, fill := pc.rowEval(x)
+	mustBool(t, "scan filter")
+	return func(e *Ectx, b *colBatch, in, out []int32) int {
+		k := 0
+		for _, r := range in {
+			fill.row(e, b.cols, b.base+int(r))
+			out[k] = r
+			if fn(e).I != 0 {
+				k++
+			}
+		}
+		return k
+	}
+}
+
+// operand is one side of a typed kernel: a scan column or a constant
+// (bound parameters are constants by the time a plan compiles).
+type operand struct {
+	isConst bool
+	t       Type
+	col     int // partition column of a column operand
+	v       Val // value of a constant
+}
+
+func (o operand) float() float64 {
+	if o.t == TFloat {
+		return o.v.F
+	}
+	return float64(o.v.I)
+}
+
+func (pc *pipeCtx) operand(x *Expr) (operand, bool) {
+	switch x.kind {
+	case eCol:
+		k, t := pc.lookup(x.name)
+		return operand{t: t, col: pc.scanCols[k]}, true
+	case eConstI:
+		return operand{isConst: true, t: TInt, v: Val{I: x.i}}, true
+	case eConstF:
+		return operand{isConst: true, t: TFloat, v: Val{F: x.f}}, true
+	case eConstS:
+		return operand{isConst: true, t: TStr, v: Val{S: x.s}}, true
+	}
+	return operand{}, false
+}
+
+// typedKernel returns the typed kernel of a conjunct and its cost rank,
+// or nil when it has none.
+func typedKernel(pc *pipeCtx, x *Expr) (k selKernel, rank int) {
+	switch x.kind {
+	case eEq, eNe, eLt, eLe, eGt, eGe:
+		a, okA := pc.operand(x.args[0])
+		b, okB := pc.operand(x.args[1])
+		if okA && okB {
+			return cmpKernel(x.kind, a, b)
+		}
+	case eBetween:
+		v, okV := pc.operand(x.args[0])
+		lo, okL := pc.operand(x.args[1])
+		hi, okH := pc.operand(x.args[2])
+		if okV && okL && okH && !v.isConst && lo.isConst && hi.isConst &&
+			v.t != TStr && lo.t != TStr && hi.t != TStr {
+			return betweenKernel(v, lo, hi), rankNumeric
+		}
+	case eInInt:
+		if v, ok := pc.operand(x.args[0]); ok && !v.isConst && v.t == TInt {
+			set := newInSet(x.ints)
+			return func(_ *Ectx, b *colBatch, in, out []int32) int {
+				return selIn(b.ints(v.col), set, in, out)
+			}, rankNumeric
+		}
+	case eInStr:
+		if v, ok := pc.operand(x.args[0]); ok && !v.isConst && v.t == TStr {
+			set := newInSet(x.strs)
+			return func(_ *Ectx, b *colBatch, in, out []int32) int {
+				return selIn(b.strs(v.col), set, in, out)
+			}, rankStrIn
+		}
+	}
+	return nil, 0
+}
+
+// cmpKernel compiles a comparison between a column and a constant or
+// another column. keep[c+1] says whether the comparison holds when the
+// three-way compare of the operands is c — the row evaluator's cmpHolds,
+// tabulated, so "neither less nor greater" (equal, or a NaN on either
+// side) is one case here exactly as it is there.
+func cmpKernel(kind exprKind, a, b operand) (selKernel, int) {
+	if a.isConst && b.isConst || (a.t == TStr) != (b.t == TStr) {
+		return nil, 0
+	}
+	var keep [3]int
+	for c := -1; c <= 1; c++ {
+		if cmpHolds(kind, c) {
+			keep[c+1] = 1
+		}
+	}
+	if a.isConst {
+		a, b = b, a
+		keep[0], keep[2] = keep[2], keep[0]
+	}
+	if a.t == TStr {
+		if !b.isConst || kind != eEq && kind != eNe {
+			return nil, 0
+		}
+		c, want := b.v.S, kind == eEq
+		return func(_ *Ectx, bt *colBatch, in, out []int32) int {
+			return selStrEq(bt.strs(a.col), c, want, in, out)
+		}, rankStrEq
+	}
+	promote := a.t == TFloat || b.t == TFloat
+	switch {
+	case b.isConst && !promote:
+		c := b.v.I
+		return func(_ *Ectx, bt *colBatch, in, out []int32) int {
+			return selCmpConst(bt.ints(a.col), c, &keep, in, out)
+		}, rankNumeric
+	case b.isConst && a.t == TInt:
+		c := b.float()
+		return func(_ *Ectx, bt *colBatch, in, out []int32) int {
+			return selCmpConst(bt.ints(a.col), c, &keep, in, out)
+		}, rankNumeric
+	case b.isConst:
+		c := b.float()
+		return func(_ *Ectx, bt *colBatch, in, out []int32) int {
+			return selCmpConst(bt.flts(a.col), c, &keep, in, out)
+		}, rankNumeric
+	case !promote:
+		return func(_ *Ectx, bt *colBatch, in, out []int32) int {
+			return selCmpCols[int64, int64, int64](bt.ints(a.col), bt.ints(b.col), &keep, in, out)
+		}, rankNumeric
+	case a.t == TInt:
+		return func(_ *Ectx, bt *colBatch, in, out []int32) int {
+			return selCmpCols[int64, float64, float64](bt.ints(a.col), bt.flts(b.col), &keep, in, out)
+		}, rankNumeric
+	case b.t == TInt:
+		return func(_ *Ectx, bt *colBatch, in, out []int32) int {
+			return selCmpCols[float64, int64, float64](bt.flts(a.col), bt.ints(b.col), &keep, in, out)
+		}, rankNumeric
+	default:
+		return func(_ *Ectx, bt *colBatch, in, out []int32) int {
+			return selCmpCols[float64, float64, float64](bt.flts(a.col), bt.flts(b.col), &keep, in, out)
+		}, rankNumeric
+	}
+}
+
+func betweenKernel(v, lo, hi operand) selKernel {
+	switch {
+	case v.t == TInt && lo.t == TInt && hi.t == TInt:
+		l, h := lo.v.I, hi.v.I
+		return func(_ *Ectx, b *colBatch, in, out []int32) int {
+			return selBetween(b.ints(v.col), l, h, in, out)
+		}
+	case v.t == TInt:
+		l, h := lo.float(), hi.float()
+		return func(_ *Ectx, b *colBatch, in, out []int32) int {
+			return selBetween(b.ints(v.col), l, h, in, out)
+		}
+	default:
+		l, h := lo.float(), hi.float()
+		return func(_ *Ectx, b *colBatch, in, out []int32) int {
+			return selBetween(b.flts(v.col), l, h, in, out)
+		}
+	}
+}
+
+type number interface{ int64 | float64 }
+
+// The loops below write every candidate to out[k] and advance k only for
+// the ones kept, which the compiler turns into flag arithmetic instead of
+// a branch per row.
+
+func selCmpConst[A, T number](col []A, c T, keep *[3]int, in, out []int32) int {
+	k := 0
+	for _, r := range in {
+		v := T(col[r])
+		lt, gt := 0, 0
+		if v < c {
+			lt = 1
+		}
+		if v > c {
+			gt = 1
+		}
+		out[k] = r
+		k += keep[1+gt-lt]
+	}
+	return k
+}
+
+func selCmpCols[A, B, T number](a []A, b []B, keep *[3]int, in, out []int32) int {
+	k := 0
+	for _, r := range in {
+		x, y := T(a[r]), T(b[r])
+		lt, gt := 0, 0
+		if x < y {
+			lt = 1
+		}
+		if x > y {
+			gt = 1
+		}
+		out[k] = r
+		k += keep[1+gt-lt]
+	}
+	return k
+}
+
+func selBetween[A, T number](col []A, lo, hi T, in, out []int32) int {
+	k := 0
+	for _, r := range in {
+		v := T(col[r])
+		out[k] = r
+		if lo <= v && v <= hi {
+			k++
+		}
+	}
+	return k
+}
+
+func selStrEq(col []string, c string, want bool, in, out []int32) int {
+	k := 0
+	for _, r := range in {
+		out[k] = r
+		if (col[r] == c) == want {
+			k++
+		}
+	}
+	return k
+}
+
+func selIn[T comparable](col []T, set *inSet[T], in, out []int32) int {
+	k := 0
+	for _, r := range in {
+		out[k] = r
+		if set.has(col[r]) {
+			k++
+		}
+	}
+	return k
+}
+
+// ---- Vector expressions.
+
+// vecProg is a set of numeric expressions compiled to steps that each
+// fill one float64 vector, one element per selected row of a colBatch.
+// Structurally equal (sub)expressions share a slot and are computed once
+// per chunk. A slot holds the expression's value as the aggregation sink
+// consumes it: floats as they are, ints converted with float64().
+type vecProg struct {
+	pc    *pipeCtx
+	exprs []*Expr // exprs[s] is what slot s holds
+	steps []func(e *Ectx, b *colBatch)
+}
+
+// vec returns slot s's own buffer, cut to n rows, and makes it the slot's
+// current vector.
+func (e *Ectx) vec(s, n int) []float64 {
+	out := e.vecBuf[s*scanChunkRows:][:n:n]
+	e.vecs[s] = out
+	return out
+}
+
+// numType types an expression built only from numeric columns, numeric
+// constants and arithmetic; ok is false for anything else.
+func (p *vecProg) numType(x *Expr) (t Type, ok bool) {
+	switch x.kind {
+	case eCol:
+		_, t = p.pc.lookup(x.name)
+		return t, t != TStr
+	case eConstI:
+		return TInt, true
+	case eConstF:
+		return TFloat, true
+	case eAdd, eSub, eMul, eDiv:
+		ta, okA := p.numType(x.args[0])
+		tb, okB := p.numType(x.args[1])
+		if !okA || !okB {
+			return 0, false
+		}
+		if ta == TFloat || tb == TFloat || x.kind == eDiv {
+			return TFloat, true
+		}
+		return TInt, true
+	}
+	return 0, false
+}
+
+// slot compiles x (once) and returns the slot holding its value. Columns
+// are gathered through the selection — a float column of an unfiltered
+// chunk is used in place — float arithmetic runs as one loop per
+// operator, and everything else (int arithmetic, which must wrap like the
+// row evaluator's, CASE, YEAR, ...) is evaluated by the row evaluator
+// over the registers it reads.
+func (p *vecProg) slot(x *Expr) int {
+	for s, y := range p.exprs {
+		if exprEqual(x, y) {
+			return s
+		}
+	}
+	s := len(p.exprs)
+	p.exprs = append(p.exprs, x)
+	t, numeric := p.numType(x)
+	switch {
+	case numeric && x.kind == eCol:
+		k, _ := p.pc.lookup(x.name)
+		col := p.pc.scanCols[k]
+		if t == TFloat {
+			p.steps = append(p.steps, func(e *Ectx, b *colBatch) {
+				src := b.flts(col)
+				if b.sel == nil {
+					e.vecs[s] = src
+					return
+				}
+				out := e.vec(s, len(b.sel))
+				for j, r := range b.sel {
+					out[j] = src[r]
+				}
+			})
+			break
+		}
+		p.steps = append(p.steps, func(e *Ectx, b *colBatch) {
+			src := b.ints(col)
+			if b.sel == nil {
+				out := e.vec(s, len(src))
+				for j, v := range src {
+					out[j] = float64(v)
+				}
+				return
+			}
+			out := e.vec(s, len(b.sel))
+			for j, r := range b.sel {
+				out[j] = float64(src[r])
+			}
+		})
+	case numeric && (x.kind == eConstI || x.kind == eConstF):
+		c := x.f
+		if x.kind == eConstI {
+			c = float64(x.i)
+		}
+		p.steps = append(p.steps, func(e *Ectx, b *colBatch) {
+			out := e.vec(s, b.rows())
+			for j := range out {
+				out[j] = c
+			}
+		})
+	case numeric && t == TFloat:
+		sa, sb := p.slot(x.args[0]), p.slot(x.args[1])
+		op := x.kind
+		p.steps = append(p.steps, func(e *Ectx, b *colBatch) {
+			out := e.vec(s, b.rows())
+			va, vb := e.vecs[sa][:len(out)], e.vecs[sb][:len(out)]
+			switch op {
+			case eAdd:
+				for j := range out {
+					out[j] = va[j] + vb[j]
+				}
+			case eSub:
+				for j := range out {
+					out[j] = va[j] - vb[j]
+				}
+			case eMul:
+				for j := range out {
+					out[j] = va[j] * vb[j]
+				}
+			default:
+				for j := range out {
+					out[j] = va[j] / vb[j]
+				}
+			}
+		})
+	default:
+		fn, ft, fill := p.pc.rowEval(x)
+		p.steps = append(p.steps, func(e *Ectx, b *colBatch) {
+			out := e.vec(s, b.rows())
+			for j := range out {
+				fill.row(e, b.cols, b.row(j))
+				if v := fn(e); ft == TFloat {
+					out[j] = v.F
+				} else {
+					out[j] = float64(v.I)
+				}
+			}
+		})
+	}
+	return s
+}
+
+// exprEqual reports whether two expressions are structurally identical.
+func exprEqual(a, b *Expr) bool {
+	if a == b {
+		return true
+	}
+	if a.kind != b.kind || a.name != b.name || a.i != b.i || a.s != b.s || a.ptype != b.ptype ||
+		math.Float64bits(a.f) != math.Float64bits(b.f) || len(a.args) != len(b.args) ||
+		!slices.Equal(a.ints, b.ints) || !slices.Equal(a.strs, b.strs) {
+		return false
+	}
+	for i := range a.args {
+		if !exprEqual(a.args[i], b.args[i]) {
+			return false
+		}
+	}
+	return true
+}

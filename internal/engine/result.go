@@ -98,13 +98,13 @@ func newResultSink(schema []Reg, workers int) *resultSink {
 	return &resultSink{schema: schema, buffers: make([][][]Val, workers)}
 }
 
-func (s *resultSink) factory(pc *pipeCtx) rowFn {
+func (s *resultSink) factory(pc *pipeCtx) consumer {
 	srcIdx := make([]int, len(s.schema))
 	for i, r := range s.schema {
 		srcIdx[i], _ = pc.resolve(r.Name)
 	}
 	rowW := rowWidth(s.schema)
-	return func(e *Ectx) {
+	return consumer{row: func(e *Ectx) {
 		row := make([]Val, len(srcIdx))
 		for i, si := range srcIdx {
 			row[i] = e.Regs[si]
@@ -112,7 +112,7 @@ func (s *resultSink) factory(pc *pipeCtx) rowFn {
 		s.buffers[e.W.ID] = append(s.buffers[e.W.ID], row)
 		e.writeBytes += int64(rowW)
 		e.cpuUnits++
-	}
+	}}
 }
 
 func (s *resultSink) collect() *Result {

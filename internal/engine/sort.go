@@ -60,13 +60,13 @@ func (c *compiler) compileSorted(p *Plan) func() *Result {
 
 	// ---- Materialization sink: thread-local, in place (§4.5 "each
 	// thread first materializes and sorts its input locally").
-	tails := root.produce(c, func(pc *pipeCtx) rowFn {
+	tails := root.produce(c, func(pc *pipeCtx) consumer {
 		srcIdx := make([]int, nOut)
 		for i, r := range root.out {
 			srcIdx[i], _ = pc.resolve(r.Name)
 		}
 		limit := rt.limit
-		return func(e *Ectx) {
+		return consumer{row: func(e *Ectx) {
 			row := make([]Val, nOut)
 			for i, si := range srcIdx {
 				row[i] = e.Regs[si]
@@ -83,7 +83,7 @@ func (c *compiler) compileSorted(p *Plan) func() *Result {
 				rt.runs[wid] = run[:limit]
 				e.cpuUnits += float64(len(run)) * math.Log2(float64(len(run)))
 			}
-		}
+		}}
 	})
 
 	if rt.limit > 0 {

@@ -164,13 +164,13 @@ func (s *streamChunker) newPart() *storage.Partition {
 	return &storage.Partition{Worker: -1, Cols: cols}
 }
 
-func (s *streamChunker) factory(pc *pipeCtx) rowFn {
+func (s *streamChunker) factory(pc *pipeCtx) consumer {
 	srcIdx := make([]int, len(s.regs))
 	for i, r := range s.regs {
 		srcIdx[i], _ = pc.resolve(r.Name)
 	}
 	rowW := rowWidth(s.regs)
-	return func(e *Ectx) {
+	return consumer{row: func(e *Ectx) {
 		w := e.W.ID
 		p := s.bufs[w]
 		if p == nil {
@@ -195,7 +195,7 @@ func (s *streamChunker) factory(pc *pipeCtx) rowFn {
 			s.bufs[w] = nil
 			s.out.Feed(p)
 		}
-	}
+	}}
 }
 
 // flushAll emits every worker's partial chunk. Call it only once the

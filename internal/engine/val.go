@@ -1,7 +1,10 @@
 // Package engine implements the morsel-driven query engine: pipelines
 // compiled into composed closures (the Go analog of HyPer's JIT-compiled
-// pipeline fragments), a register-file row representation, expression
-// evaluation, and the paper's parallel operators — pipelined hash joins on
+// pipeline fragments), a column-at-a-time scan front end — selection-vector
+// filter kernels and a batch aggregation sink over a morsel's typed column
+// slices (kernel.go) — ahead of a register file of Vals that carries the
+// surviving rows through joins and the other row-at-a-time operators,
+// expression evaluation, and the paper's parallel operators — pipelined hash joins on
 // the lock-free tagged hash table (§4.1/§4.2, with semi/anti/mark/outer
 // variants), two-phase parallel aggregation (§4.4), parallel merge sort /
 // top-k (§4.5), and Materialize, a compute-once buffer shared by several
@@ -12,6 +15,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/dispatch"
@@ -98,6 +102,11 @@ type Ectx struct {
 	// joins — cannot clobber each other.
 	scratch [][]Val
 
+	// Scan front end (kernel.go): the chunk being worked on, and the
+	// working memory borrowed for the morsel at hand.
+	batch colBatch
+	*scanScratch
+
 	cpuUnits   float64
 	writeBytes int64
 	// randLines counts dependent cache-line accesses per home socket;
@@ -146,27 +155,58 @@ func (e *Ectx) flush() {
 }
 
 // rowFn is a compiled pipeline step: it consumes the current register
-// values and pushes them onward. Pipelines are rowFn chains composed at
-// plan-compile time — one closure call per operator per tuple, no
-// intermediate materialization, mirroring the paper's JIT'd pipelines.
+// values and pushes them onward. Behind the scan front end, pipelines are
+// rowFn chains composed at plan-compile time — one closure call per
+// operator per surviving tuple, no intermediate materialization,
+// mirroring the paper's JIT'd pipelines.
 type rowFn func(e *Ectx)
 
-// encodeVal appends a binary encoding of v (typed t) to buf.
+// Group keys are byte strings: each key value appended in turn by one of
+// the appendKey functions (encodeVal picks by type) and read back by
+// decodeVal. The bytes feed hashBytes, so the encoding also decides which
+// partition a group lands in.
+
+func appendKeyInt(buf []byte, v int64) []byte {
+	return binary.LittleEndian.AppendUint64(buf, uint64(v))
+}
+
+// appendKeyFloat quantises to 1e-4: floats used as keys are exact
+// decimals in our workloads.
+func appendKeyFloat(buf []byte, v float64) []byte {
+	return appendKeyInt(buf, int64(v*10000))
+}
+
+// keyLongStr in the two-byte length field marks a string of 65 535 bytes
+// or more, whose real length follows as a uvarint. Shorter strings keep
+// the plain two-byte length, so their keys — and with them group hashes
+// and partition numbers — are what they always were.
+const keyLongStr = 0xFFFF
+
+func appendKeyStr(buf []byte, s string) []byte {
+	if len(s) < keyLongStr {
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
+	} else {
+		buf = binary.LittleEndian.AppendUint16(buf, keyLongStr)
+		buf = binary.AppendUvarint(buf, uint64(len(s)))
+	}
+	if len(s) > 8 {
+		return append(buf, s...)
+	}
+	for i := 0; i < len(s); i++ { // flags and codes: cheaper than a memmove call
+		buf = append(buf, s[i])
+	}
+	return buf
+}
+
+// encodeVal appends the group-key encoding of v (typed t) to buf.
 func encodeVal(buf []byte, t Type, v Val) []byte {
 	switch t {
 	case TInt:
-		u := uint64(v.I)
-		return append(buf, byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
-			byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
+		return appendKeyInt(buf, v.I)
 	case TFloat:
-		// Floats used as keys are exact decimals in our workloads.
-		u := uint64(int64(v.F * 10000))
-		return append(buf, byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
-			byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
+		return appendKeyFloat(buf, v.F)
 	default:
-		n := len(v.S)
-		buf = append(buf, byte(n), byte(n>>8))
-		return append(buf, v.S...)
+		return appendKeyStr(buf, v.S)
 	}
 }
 
@@ -175,15 +215,16 @@ func encodeVal(buf []byte, t Type, v Val) []byte {
 func decodeVal(buf []byte, t Type) (Val, []byte) {
 	switch t {
 	case TInt:
-		u := uint64(buf[0]) | uint64(buf[1])<<8 | uint64(buf[2])<<16 | uint64(buf[3])<<24 |
-			uint64(buf[4])<<32 | uint64(buf[5])<<40 | uint64(buf[6])<<48 | uint64(buf[7])<<56
-		return Val{I: int64(u)}, buf[8:]
+		return Val{I: int64(binary.LittleEndian.Uint64(buf))}, buf[8:]
 	case TFloat:
-		u := uint64(buf[0]) | uint64(buf[1])<<8 | uint64(buf[2])<<16 | uint64(buf[3])<<24 |
-			uint64(buf[4])<<32 | uint64(buf[5])<<40 | uint64(buf[6])<<48 | uint64(buf[7])<<56
-		return Val{F: float64(int64(u)) / 10000}, buf[8:]
+		return Val{F: float64(int64(binary.LittleEndian.Uint64(buf))) / 10000}, buf[8:]
 	default:
-		n := int(buf[0]) | int(buf[1])<<8
-		return Val{S: string(buf[2 : 2+n])}, buf[2+n:]
+		n := int(binary.LittleEndian.Uint16(buf))
+		buf = buf[2:]
+		if n == keyLongStr {
+			long, w := binary.Uvarint(buf)
+			n, buf = int(long), buf[w:]
+		}
+		return Val{S: string(buf[:n])}, buf[n:]
 	}
 }

@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	morseld -addr :8080 -orders 2000000 -workers 0
+//	morseld -addr :8080 -orders 2000000 -workers 0   # 0 = one worker per host CPU (GOMAXPROCS)
 //	morseld -exec 'SELECT COUNT(*) AS n FROM orders WHERE day < ?' -params '[7]'
 //	morseld -exec 'SELECT ...' -explain   # optimized plan with cardinality estimates
 //
@@ -50,6 +50,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -68,7 +69,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		machine    = flag.String("machine", "nehalem", "simulated NUMA machine: nehalem | sandybridge")
-		workers    = flag.Int("workers", 0, "worker threads (0 = all hardware threads of the machine model)")
+		workers    = flag.Int("workers", 0, "worker threads (0 = GOMAXPROCS: the daemon runs on the host's cores, not the cost model's)")
 		morselRows = flag.Int("morsel-rows", 100_000, "morsel size in tuples")
 		orders     = flag.Int("orders", 2_000_000, "demo orders fact-table rows")
 		customers  = flag.Int("customers", 10_000, "demo customers dimension rows")
@@ -108,6 +109,11 @@ func main() {
 		log.Fatalf("unknown machine %q (want nehalem or sandybridge)", *machine)
 	}
 
+	if *workers <= 0 {
+		// The machine model only prices simulated runs; the daemon executes
+		// for real, so its pool is sized by the host.
+		*workers = runtime.GOMAXPROCS(0)
+	}
 	sys := core.NewSystem(m, core.Options{Workers: *workers, MorselRows: *morselRows})
 	start := time.Now()
 	var (

@@ -77,3 +77,25 @@ func TestJobCompletesOnlyAfterItsLastMorsel(t *testing.T) {
 		}
 	}
 }
+
+// TestEmptyJobActivatesSuccessorOnce: an empty job completes inside its
+// own activation and activates its successors from there. Submit, still
+// walking the job list, used to find those successors with no open
+// dependency and activate them a second time — a second Setup and fresh
+// cursors over the whole input, so a worker that had already cut a morsel
+// from the first cursors ran that morsel twice (about once in a thousand
+// runs of a join with an empty build side; the rows came out doubled).
+func TestEmptyJobActivatesSuccessorOnce(t *testing.T) {
+	d := NewDispatcher(numa.NehalemEXMachine(), Config{Workers: 1})
+	q := NewQuery("empty-first")
+	var setups, rows atomic.Int64
+	empty := q.AddJob("empty", func() []*storage.Partition { return nil }, func(*Worker, storage.Morsel) {})
+	parts := makeParts(1, 100, 1)
+	q.AddJob("successor",
+		func() []*storage.Partition { setups.Add(1); return parts },
+		func(w *Worker, m storage.Morsel) { rows.Add(int64(m.Rows())) }).After(empty)
+	NewRealRunner(d).RunToCompletion(q)
+	if setups.Load() != 1 || rows.Load() != 100 {
+		t.Fatalf("successor of an empty job: Setup ran %d times over %d rows, want once over 100", setups.Load(), rows.Load())
+	}
+}

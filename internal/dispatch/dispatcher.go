@@ -92,7 +92,10 @@ func (d *Dispatcher) Submit(q *Query) {
 	d.queries[q.ID] = q
 	d.pendingQueries.Add(1)
 	for _, j := range q.jobs {
-		if j.deps.Load() == 0 {
+		// An empty job completes inside activateLocked and activates its
+		// successors there; they must not be activated again from here,
+		// which would reset cursors a worker may already be cutting from.
+		if j.deps.Load() == 0 && !j.activated.Load() {
 			d.activateLocked(j, nil)
 		}
 	}

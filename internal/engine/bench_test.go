@@ -239,3 +239,110 @@ func BenchmarkGroupByHighCard(b *testing.B) {
 		})
 	}
 }
+
+// keyedTable is a build side for the probe benchmarks: rows rows keyed
+// k = i*stride, with an int, a float and a string payload column.
+func keyedTable(rows, stride, parts int) *storage.Table {
+	b := storage.NewBuilder("keyed", storage.Schema{
+		{Name: "k", Type: storage.I64},
+		{Name: "g", Type: storage.I64},
+		{Name: "v", Type: storage.F64},
+		{Name: "s", Type: storage.Str},
+	}, parts, "k")
+	names := []string{"BUILDING", "MACHINERY", "AUTOMOBILE", "FURNITURE", "HOUSEHOLD"}
+	for i := 0; i < rows; i++ {
+		b.Append(storage.Row{int64(i * stride), int64(i % 512), float64(i%1000) / 3, names[i%len(names)]})
+	}
+	return b.Build(storage.NUMAAware, 4)
+}
+
+// BenchmarkHashJoinProbeSelective is TPC-H Q3's probe: 400k rows against
+// a build side holding one key in twenty, so about 95 % of the probes end
+// at the tagged slot word.
+func BenchmarkHashJoinProbeSelective(b *testing.B) {
+	probe := benchTable(400_000)
+	build := keyedTable(20_000, 20, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := benchSession()
+		p := NewPlan("bench")
+		bs := p.Scan(build, "k AS bk", "g AS bg")
+		p.Return(p.Scan(probe, "k", "v").
+			HashJoin(bs, JoinInner, []*Expr{Col("k")}, []*Expr{Col("bk")}, "bg").
+			GroupBy(nil, []AggDef{Count("n"), Sum("s", Col("v"))}))
+		res, _ := s.Run(p)
+		if res.Rows()[0][0].I != 20_000 {
+			b.Fatalf("join count %d", res.Rows()[0][0].I)
+		}
+	}
+}
+
+// BenchmarkHashJoinProbeChain is the shape of TPC-H Q18 and Q9: an inner
+// join every probe row matches, carrying three payload columns (one a
+// string), followed by a semi join — keyed on one of those payload
+// columns — that keeps about 1 % of the pairs.
+func BenchmarkHashJoinProbeChain(b *testing.B) {
+	const rows, wideRows = 400_000, 50_000
+	pb := storage.NewBuilder("fact", storage.Schema{
+		{Name: "k", Type: storage.I64},
+		{Name: "fk", Type: storage.I64},
+		{Name: "v", Type: storage.F64},
+	}, 16, "k")
+	for i := 0; i < rows; i++ {
+		pb.Append(storage.Row{int64(i), int64(i % wideRows), float64(i%1000) / 3})
+	}
+	probe := pb.Build(storage.NUMAAware, 4)
+	wide := keyedTable(wideRows, 1, 16)
+	few := keyedTable(5, 1, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := benchSession()
+		p := NewPlan("bench")
+		ws := p.Scan(wide, "k AS wk", "g AS wg", "v AS wv", "s AS ws")
+		fs := p.Scan(few, "k AS fk2")
+		p.Return(p.Scan(probe, "fk", "v").
+			HashJoin(ws, JoinInner, []*Expr{Col("fk")}, []*Expr{Col("wk")}, "wg", "wv", "ws").
+			HashJoin(fs, JoinSemi, []*Expr{Col("wg")}, []*Expr{Col("fk2")}).
+			GroupBy([]NamedExpr{N("ws", Col("ws"))}, []AggDef{Count("n"), Sum("s", Col("wv")), Sum("t", Col("v"))}))
+		res, _ := s.Run(p)
+		n := int64(0)
+		for _, row := range res.Rows() {
+			n += row[1].I
+		}
+		if n != 3920 { // fk%512 < 5
+			b.Fatalf("join count %d", n)
+		}
+	}
+}
+
+// BenchmarkHashJoinTinyBuild is the short-statement shape the batch probe
+// must not tax (serve_short's nation_rollup_p): a 25-row build probed by
+// 1 000 rows spread over 32 partitions, grouped by the payload.
+func BenchmarkHashJoinTinyBuild(b *testing.B) {
+	pb := storage.NewBuilder("supp", storage.Schema{
+		{Name: "sk", Type: storage.I64},
+		{Name: "nk", Type: storage.I64},
+		{Name: "bal", Type: storage.F64},
+	}, 32, "sk")
+	for i := 0; i < 1000; i++ {
+		pb.Append(storage.Row{int64(i), int64(i * 7 % 25), float64(i%100) / 4})
+	}
+	probe := pb.Build(storage.NUMAAware, 4)
+	build := keyedTable(25, 1, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := benchSession()
+		p := NewPlan("bench")
+		bs := p.Scan(build, "k AS nk2", "s AS name")
+		p.Return(p.Scan(probe, "nk", "bal").
+			HashJoin(bs, JoinInner, []*Expr{Col("nk")}, []*Expr{Col("nk2")}, "name").
+			GroupBy([]NamedExpr{N("name", Col("name"))}, []AggDef{Count("n"), Sum("b", Col("bal"))}))
+		res, _ := s.Run(p)
+		if res.NumRows() != 5 {
+			b.Fatalf("groups %d", res.NumRows())
+		}
+	}
+}

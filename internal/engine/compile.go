@@ -17,10 +17,12 @@ type tailJob = *dispatch.PipelineJob
 
 // consumer is what the downstream chain of a pipeline offers its source:
 // the per-row entry every operator has and, from a consumer that can work
-// on column slices itself (the aggregation sink), a batch entry taking one
-// filtered scan chunk at a time. Only a scan-sourced pipeline whose
-// consumer sits directly on the scan uses the batch entry; a pipelined
-// operator wraps its parent's row entry and so offers none.
+// on column slices itself (the aggregation sink, a hash-join probe whose
+// keys are columns), a batch entry taking one filtered scan chunk at a
+// time. Only a column-sourced pipeline uses the batch entry, and only as
+// far down as every operator offers one: a probe hands its output batch to
+// a batch consumer below it; Filter and Map wrap their parent's row entry
+// and so offer none.
 type consumer struct {
 	row   rowFn
 	batch func(e *Ectx, b *colBatch)
@@ -86,12 +88,19 @@ type pipeCtx struct {
 	scratchSizes []int     // per-operator scratch slot sizes
 
 	// scanCols is set on scan-sourced pipelines: register k, for k <
-	// len(scanCols), is loaded from partition column scanCols[k].
-	// used[k] records that a downstream consumer resolved register k; the
-	// scan fills only those, and only for rows that pass its filter.
+	// len(scanCols), is loaded from partition column scanCols[k]. There,
+	// used[k] records that a row consumer resolved register k: the scan —
+	// or the last of the batch probes sitting on it — fills only those
+	// registers, and only for the rows that reach the row consumer.
 	scanCols []int
 	used     []bool
 	vecSlots int // float64 vectors the batch consumer needs (Ectx.vecs)
+
+	// rowOnly is set once an operator that consumes rows (Filter, Map, a
+	// probe on a computed key) has been compiled into the pipeline:
+	// everything below it is entered through its row entry.
+	rowOnly bool
+	probes  []*probe // the batch probes, in pipeline order
 }
 
 // addScratch reserves a per-worker scratch slot of n values for one
@@ -108,10 +117,26 @@ func (c *compiler) newPipe() *pipeCtx {
 // resolve is how downstream consumers find their input registers.
 func (pc *pipeCtx) resolve(name string) (int, Type) {
 	k, t := pc.lookup(name)
+	pc.need(k)
+	return k, t
+}
+
+// usedRegs lists those of the first n registers a row consumer resolved.
+func (pc *pipeCtx) usedRegs(n int) []int {
+	regs := make([]int, 0, n)
+	for k, u := range pc.used[:n] {
+		if u {
+			regs = append(regs, k)
+		}
+	}
+	return regs
+}
+
+// need records that a row consumer reads register k.
+func (pc *pipeCtx) need(k int) {
 	if k < len(pc.used) {
 		pc.used[k] = true
 	}
-	return k, t
 }
 
 // lookup finds a register without recording a consumer's need for it;
@@ -132,6 +157,9 @@ func (pc *pipeCtx) addReg(name string, t Type) int {
 		}
 	}
 	pc.regs = append(pc.regs, Reg{Name: name, Type: t})
+	if pc.scanCols != nil {
+		pc.used = append(pc.used, false)
+	}
 	return len(pc.regs) - 1
 }
 
@@ -217,6 +245,7 @@ func (n *Node) produce(c *compiler, f consumerFactory) []tailJob {
 		return n.child.produce(c, func(pc *pipeCtx) consumer {
 			fn, t := pred.compile(pc)
 			mustBool(t, "filter predicate")
+			pc.rowOnly = true
 			down := f(pc).row
 			return consumer{row: func(e *Ectx) {
 				e.cpuUnits += w
@@ -231,6 +260,7 @@ func (n *Node) produce(c *compiler, f consumerFactory) []tailJob {
 		return n.child.produce(c, func(pc *pipeCtx) consumer {
 			fn, t := ex.E.compile(pc)
 			idx := pc.addReg(ex.Name, t)
+			pc.rowOnly = true
 			down := f(pc).row
 			return consumer{row: func(e *Ectx) {
 				e.cpuUnits += w
@@ -303,9 +333,6 @@ func (c *compiler) produceScan(n *Node, f consumerFactory) []tailJob {
 // returns the pipeline context and the per-morsel body.
 func (c *compiler) scanPipe(regs []Reg, srcIdx []int, filter *Expr, f consumerFactory) (*pipeCtx, func(*dispatch.Worker, storage.Morsel)) {
 	pc := c.newPipe()
-	for _, r := range regs {
-		pc.addReg(r.Name, r.Type)
-	}
 	if srcIdx == nil {
 		srcIdx = make([]int, len(regs))
 		for i := range srcIdx {
@@ -313,7 +340,10 @@ func (c *compiler) scanPipe(regs []Reg, srcIdx []int, filter *Expr, f consumerFa
 		}
 	}
 	pc.scanCols = srcIdx
-	pc.used = make([]bool, len(srcIdx))
+	pc.used = make([]bool, 0, len(regs)+8) // room for a few joins' payload registers
+	for _, r := range regs {
+		pc.addReg(r.Name, r.Type)
+	}
 	rowW := 1.0
 	var kernels []selKernel
 	if filter != nil {
@@ -327,23 +357,22 @@ func (c *compiler) scanPipe(regs []Reg, srcIdx []int, filter *Expr, f consumerFa
 // shares. The morsel is cut into chunks of scanChunkRows; per chunk the
 // filter's kernels narrow a selection (an unfiltered scan has none and
 // stays dense), then either the consumer takes the chunk whole through its
-// batch entry, or the registers some consumer resolved are filled for each
-// surviving row and the row entry runs. Filter-only columns never become
-// Vals. The cost model is charged what the row-at-a-time loop charged:
+// batch entry — the aggregation sink, or a chain of hash-join probes, the
+// last of which does the register fill for the rows that leave it — or the
+// registers some consumer resolved are filled for each surviving row and
+// the row entry runs. Filter-only columns never become Vals. The cost
+// model is charged what the row-at-a-time loop charged:
 // rowW CPU units per scanned row and the sequential read of every listed
 // column.
 func scanMorselBody(pc *pipeCtx, kernels []selKernel, rowW float64, cons consumer) func(*dispatch.Worker, storage.Morsel) {
-	var used []int
-	for k, u := range pc.used {
-		if u {
-			used = append(used, k)
-		}
+	var fill regFill
+	if cons.batch == nil {
+		fill = pc.fillFor(pc.usedRegs(len(pc.scanCols)))
 	}
-	fill := pc.fillFor(used)
 	return func(w *dispatch.Worker, m storage.Morsel) {
 		e := pc.ectx(w)
 		e.reset(w)
-		e.scanScratch = borrowScanScratch(pc.vecSlots)
+		e.scanScratch = borrowScanScratch(pc.vecSlots, len(pc.probes))
 		b := &e.batch
 		b.cols = m.Part.Cols
 		for b.base = m.Begin; b.base < m.End; b.base += scanChunkRows {
@@ -367,7 +396,7 @@ func scanMorselBody(pc *pipeCtx, kernels []selKernel, rowW float64, cons consume
 				cons.row(e)
 			}
 		}
-		e.scanScratch.release()
+		e.scanScratch.release(len(pc.probes))
 		e.scanScratch = nil
 		w.Tracker.ReadSeq(m.Home(), m.Part.BytesRange(m.Begin, m.End, pc.scanCols))
 		e.flush()

@@ -48,9 +48,20 @@ func mixBytes[T string | []byte](h uint64, s T) uint64 {
 	return h
 }
 
+// floatWord is the word a float key is hashed as: -0 == +0 must hash
+// alike.
+func floatWord(f float64) uint64 {
+	if f == 0 {
+		return 0
+	}
+	return math.Float64bits(f)
+}
+
 // hashVals hashes a typed key tuple. It is the one definition the hash
 // join's build and probe sides share: equal keys (by keysEqual) hash
-// equally, including +0 and -0.
+// equally, including +0 and -0. A batch probe folds the same three steps
+// — seed, one mix per key column, finishHash — over a chunk's key vectors
+// (probe.hashKeys) and must agree with it bit for bit.
 func hashVals(types []Type, kv []Val) uint64 {
 	h := uint64(hashSeed)
 	for i, t := range types {
@@ -58,11 +69,7 @@ func hashVals(types []Type, kv []Val) uint64 {
 		case TInt:
 			h = mixWord(h, uint64(kv[i].I))
 		case TFloat:
-			bits := math.Float64bits(kv[i].F)
-			if kv[i].F == 0 {
-				bits = 0 // -0 == +0 must hash alike
-			}
-			h = mixWord(h, bits)
+			h = mixWord(h, floatWord(kv[i].F))
 		default:
 			h = mixBytes(h, kv[i].S)
 		}

@@ -97,19 +97,13 @@ func TestHashColumnOrderMatters(t *testing.T) {
 	}
 }
 
-// TestHashSpreadsOverSlotAndTagBits hashes 64k keys of each common shape
-// into a table sized like the join's (two slots per key, indexed by the
-// high bits) and checks occupancy, the longest chain, the 16 tag values
-// taken from the low bits, and that tags stay uniform within one half of
-// the slot range (slot and tag must not be correlated).
-func TestHashSpreadsOverSlotAndTagBits(t *testing.T) {
-	const n = 1 << 16
-	const slotBits = 17
-	rng := rand.New(rand.NewSource(1))
+// hashFamilies are the key shapes joins actually see, as generators of
+// the i-th key tuple.
+func hashFamilies(rng *rand.Rand) map[string]func(i int) ([]Type, []Val) {
 	ints := func(f func(i int) int64) func(i int) ([]Type, []Val) {
 		return func(i int) ([]Type, []Val) { return []Type{TInt}, []Val{{I: f(i)}} }
 	}
-	families := map[string]func(i int) ([]Type, []Val){
+	return map[string]func(i int) ([]Type, []Val){
 		"sequential":  ints(func(i int) int64 { return int64(i) }),
 		"from-1e9":    ints(func(i int) int64 { return 1_000_000_000 + int64(i) }),
 		"stride-1024": ints(func(i int) int64 { return int64(i) << 10 }),
@@ -126,6 +120,17 @@ func TestHashSpreadsOverSlotAndTagBits(t *testing.T) {
 			return []Type{TStr}, []Val{{S: "Customer#" + strings.Repeat("0", 9) + fmt.Sprint(i)}}
 		},
 	}
+}
+
+// TestHashSpreadsOverSlotAndTagBits hashes 64k keys of each common shape
+// into a table sized like the join's (two slots per key, indexed by the
+// high bits) and checks occupancy, the longest chain, the 16 tag values
+// taken from the low bits, and that tags stay uniform within one half of
+// the slot range (slot and tag must not be correlated).
+func TestHashSpreadsOverSlotAndTagBits(t *testing.T) {
+	const n = 1 << 16
+	const slotBits = 17
+	families := hashFamilies(rand.New(rand.NewSource(1)))
 	for name, gen := range families {
 		slots := make([]int, 1<<slotBits)
 		var tags, tagsLowHalf [16]int

@@ -158,111 +158,410 @@ func (c *compiler) produceJoin(n *Node, f consumerFactory) []tailJob {
 	phase2.After(buildTails...)
 
 	// ---- Probe side: fully pipelined.
-	probeKeys := n.probeKeys
-	payload := n.payload
-	residual := n.residual
-	kind := n.joinKind
 	tails := n.child.produce(c, func(pc *pipeCtx) consumer {
 		pc.deps = append(pc.deps, phase2)
-		keyFns := make([]evalFn, len(probeKeys))
-		keyW := 0.0
-		for i, pk := range probeKeys {
-			keyFns[i], _ = pk.compile(pc)
-			keyW += pk.weight() * exprNodeWeight
-		}
-		// Payload destinations (for semi/anti these are residual
-		// scratch registers; for inner/mark/outer they are output
-		// columns).
-		srcPos := make([]int, len(payload))
-		dstReg := make([]int, len(payload))
-		for i, name := range payload {
-			p, t := schemaResolver(rt.buildSchema).resolve(name)
-			srcPos[i] = p
-			dstReg[i] = pc.addReg(name, t)
-		}
-		var residualFn evalFn
-		residualW := 0.0
-		if residual != nil {
-			fn, t := residual.compile(pc)
-			mustBool(t, "join residual")
-			residualFn = fn
-			residualW = residual.weight() * exprNodeWeight
-		}
-		types := rt.keyTypes
-		interleaved := pc.c.sockets
-		sidx := pc.addScratch(len(types))
-		down := f(pc).row
-		return consumer{row: func(e *Ectx) {
-			kv := e.scratch[sidx]
-			for i, fn := range keyFns {
-				kv[i] = fn(e)
-			}
-			h := hashVals(types, kv)
-			e.cpuUnits += 1 + keyW
-			if rt.cacheResident {
-				e.cpuUnits += 2 // L3 hit
-			} else {
-				e.randLines[interleaved]++ // slot access (often the only one)
-			}
-			ref := rt.ht.Lookup(h)
-			matched := false
-			for ref != 0 {
-				aw, row := decodeRef(ref)
-				area := rt.areas.Areas[aw]
-				cols := area.Cols
-				next := hashtable.Ref(cols[rt.idxNext].Ints[row])
-				if rt.cacheResident {
-					e.cpuUnits += 2
-				} else {
-					e.chargeEntry(area.Home)
-				}
-				if uint64(cols[rt.idxHash].Ints[row]) != h || !keysEqual(kv, cols, rt.idxKey, types, row) {
-					ref = next
-					continue
-				}
-				for i := range payload {
-					e.Regs[dstReg[i]] = loadVal(cols[srcPos[i]], rt.buildSchema[srcPos[i]].Type, row)
-				}
-				if residualFn != nil {
-					e.cpuUnits += residualW
-					if residualFn(e).I == 0 {
-						ref = next
-						continue
-					}
-				}
-				matched = true
-				switch kind {
-				case JoinInner, JoinOuterProbe:
-					down(e)
-				case JoinMark:
-					markCol := cols[rt.idxMark].Ints
-					if atomic.LoadInt64(&markCol[row]) == 0 {
-						atomic.StoreInt64(&markCol[row], 1)
-					}
-					down(e)
-				case JoinSemi:
-					down(e)
-					return
-				case JoinAnti:
-					return
-				}
-				ref = next
-			}
-			if !matched {
-				switch kind {
-				case JoinAnti:
-					down(e)
-				case JoinOuterProbe:
-					for i := range payload {
-						e.Regs[dstReg[i]] = Val{}
-					}
-					down(e)
-				}
-			}
-		}}
+		return rt.newProbe(pc, n, f)
 	})
 	jc.probeTails = tails
 	return tails
+}
+
+// probe is one hash join's probe side compiled into one pipeline. It has
+// two entries and one body. The row entry takes the probe row from the
+// registers. The batch entry takes a chunk of a column-sourced pipeline
+// (kernel.go): it hashes the chunk's keys from their columns, tests every
+// row against the tagged slot word before touching anything else, walks the
+// survivors' chains, and passes on a pair list — (scan row, build ref) per
+// output row — that the next probe of the pipeline narrows or expands in
+// turn; registers are filled at the end of that chain only, for the rows
+// that leave it and the registers a row consumer reads. Which entry a probe
+// gets is fixed by the pipeline's shape at compile time, never by a
+// setting. Both entries drive probe.next, where the match predicate and the
+// per-kind emission rule live, and charge the cost model the same amounts.
+type probe struct {
+	rt   *joinRuntime
+	em   emission
+	sidx int // scratch slot of the probe key
+	down consumer
+
+	keyW, residualW float64
+	interleaved     int
+
+	payload  []colReg // every payload register
+	residual evalFn
+	resLoad  []colReg // the payload registers the residual reads
+
+	// Batch entry only.
+	slot    int      // position among the pipeline's batch probes
+	keys    []regSrc // where each key column is read from
+	resFill pairFill // probe-side registers the residual reads
+	fill    pairFill // last batch probe of the chain: registers the row consumers read
+}
+
+// emission is what one probe row outputs, by join kind.
+type emission struct {
+	matches   uint8 // which of its matching build tuples
+	unmatched bool  // the row itself with a nil ref when nothing matched
+	mark      bool  // matched build tuples are marked (for Unmatched)
+}
+
+const (
+	emitNone uint8 = iota
+	emitFirst
+	emitEvery
+)
+
+var emissions = [...]emission{
+	JoinInner:      {matches: emitEvery},
+	JoinSemi:       {matches: emitFirst},
+	JoinAnti:       {matches: emitNone, unmatched: true},
+	JoinMark:       {matches: emitEvery, mark: true},
+	JoinOuterProbe: {matches: emitEvery, unmatched: true},
+}
+
+// newProbe compiles the join's probe into the pipeline pc and returns its
+// entry. The probe works on batches when its input does — a column-sourced
+// pipeline with nothing but batch probes above — and every key is a plain
+// column, of the scan or of an earlier probe's payload; a key that has to
+// be computed ends the chain and this probe and everything below it take
+// rows.
+func (rt *joinRuntime) newProbe(pc *pipeCtx, n *Node, f consumerFactory) consumer {
+	p := &probe{rt: rt, em: emissions[n.joinKind], interleaved: pc.c.sockets, sidx: pc.addScratch(len(rt.keyTypes))}
+	batch := pc.scanCols != nil && !pc.rowOnly
+	for _, pk := range n.probeKeys {
+		p.keyW += pk.weight() * exprNodeWeight
+		batch = batch && pk.kind == eCol
+	}
+	var keyFns []evalFn
+	if batch {
+		p.slot = len(pc.probes)
+		pc.probes = append(pc.probes, p)
+		p.keys = make([]regSrc, len(n.probeKeys))
+		for i, pk := range n.probeKeys {
+			k, _ := pc.lookup(pk.name)
+			p.keys[i] = pc.src(k)
+		}
+	} else {
+		pc.rowOnly = true
+		keyFns = make([]evalFn, len(n.probeKeys))
+		for i, pk := range n.probeKeys {
+			keyFns[i], _ = pk.compile(pc)
+		}
+	}
+	// Payload registers: output columns of an inner, mark or outer join,
+	// residual scratch of a semi or anti join.
+	firstPayload := len(pc.regs)
+	p.payload = make([]colReg, len(n.payload))
+	for i, name := range n.payload {
+		col, t := schemaResolver(rt.buildSchema).resolve(name)
+		p.payload[i] = colReg{pc.addReg(name, t), col, t}
+	}
+	if n.residual != nil {
+		// The residual runs on the row evaluator over the registers it
+		// reads, and only those are loaded for it: its payload columns
+		// from each candidate tuple, the probe side's by whoever feeds
+		// this probe — upstream for rows, resFill for a batch.
+		refs := &regRefs{pc: pc}
+		fn, t := n.residual.compile(refs)
+		mustBool(t, "join residual")
+		p.residual, p.residualW = fn, n.residual.weight()*exprNodeWeight
+		var probeSide []int
+		for _, k := range refs.regs {
+			if k >= firstPayload {
+				p.resLoad = append(p.resLoad, p.payload[k-firstPayload])
+			} else if batch {
+				probeSide = append(probeSide, k)
+			} else {
+				pc.need(k)
+			}
+		}
+		p.resFill = pc.pairFillFor(probeSide)
+	}
+	p.down = f(pc)
+	if !batch {
+		return consumer{row: p.rowEntry(keyFns)}
+	}
+	// Everything below is compiled now, so what it reads is known.
+	if p.down.batch == nil {
+		p.fill = pc.pairFillFor(pc.usedRegs(len(pc.used)))
+	}
+	return consumer{batch: p.batchEntry}
+}
+
+// chargeLookups charges n probe rows hashing their key and reading their
+// slot word.
+func (p *probe) chargeLookups(e *Ectx, n int) {
+	e.cpuUnits += (1 + p.keyW) * float64(n)
+	if p.rt.cacheResident {
+		e.cpuUnits += 2 * float64(n) // L3 hit
+	} else {
+		e.randLines[p.interleaved] += int64(n) // slot access (often the only one)
+	}
+}
+
+// chainPos is where one probe row stands in its chain.
+type chainPos struct {
+	rest    hashtable.Ref // the part not visited yet
+	matched bool
+}
+
+// next continues the probe row with key kv, hashed h, from pos and returns
+// the next build tuple it outputs; a nil ref with ok set is the unmatched
+// row of an anti or outer join. This is the join: a chain entry matches
+// when its stored hash, its key columns and the residual all agree, and
+// what the row outputs given its matches is the kind's emission.
+func (p *probe) next(e *Ectx, h uint64, kv []Val, pos *chainPos) (ref hashtable.Ref, ok bool) {
+	rt := p.rt
+	for ref := pos.rest; ref != 0; {
+		aw, row := decodeRef(ref)
+		area := rt.areas.Areas[aw]
+		cols := area.Cols
+		next := hashtable.Ref(cols[rt.idxNext].Ints[row])
+		if rt.cacheResident {
+			e.cpuUnits += 2
+		} else {
+			e.chargeEntry(area.Home)
+		}
+		if uint64(cols[rt.idxHash].Ints[row]) != h || !keysEqual(kv, cols, rt.idxKey, rt.keyTypes, row) ||
+			p.residual != nil && !p.residualHolds(e, cols, row) {
+			ref = next
+			continue
+		}
+		pos.matched = true
+		if p.em.mark {
+			if mark := &cols[rt.idxMark].Ints[row]; atomic.LoadInt64(mark) == 0 {
+				atomic.StoreInt64(mark, 1)
+			}
+		}
+		switch p.em.matches {
+		case emitEvery:
+			pos.rest = next
+			return ref, true
+		case emitFirst:
+			pos.rest = 0
+			return ref, true
+		default:
+			pos.rest = 0
+			return 0, false
+		}
+	}
+	pos.rest = 0
+	if p.em.unmatched && !pos.matched {
+		pos.matched = true
+		return 0, true
+	}
+	return 0, false
+}
+
+func (p *probe) residualHolds(e *Ectx, cols []*storage.Column, row int) bool {
+	for _, pr := range p.resLoad {
+		setVal(&e.Regs[pr.reg], cols[pr.col], pr.t, row)
+	}
+	e.cpuUnits += p.residualW
+	return p.residual(e).I != 0
+}
+
+// load fills payload registers from the build tuple ref names; a nil ref
+// (an outer join's unmatched row) reads as zero Vals.
+func (rt *joinRuntime) load(e *Ectx, ref hashtable.Ref, regs []colReg) {
+	if ref == 0 {
+		for _, pr := range regs {
+			e.Regs[pr.reg] = Val{}
+		}
+		return
+	}
+	aw, row := decodeRef(ref)
+	cols := rt.areas.Areas[aw].Cols
+	for _, pr := range regs {
+		setVal(&e.Regs[pr.reg], cols[pr.col], pr.t, row)
+	}
+}
+
+// rowEntry is the probe's entry for a pipeline that hands it rows.
+func (p *probe) rowEntry(keyFns []evalFn) rowFn {
+	rt, down := p.rt, p.down.row
+	return func(e *Ectx) {
+		kv := e.scratch[p.sidx]
+		for i, fn := range keyFns {
+			kv[i] = fn(e)
+		}
+		h := hashVals(rt.keyTypes, kv)
+		p.chargeLookups(e, 1)
+		pos := chainPos{rest: rt.ht.Lookup(h)}
+		for ref, ok := p.next(e, h, kv, &pos); ok; ref, ok = p.next(e, h, kv, &pos) {
+			rt.load(e, ref, p.payload)
+			down(e)
+			if pos.rest == 0 {
+				break // it has output something, and the chain is at its end
+			}
+		}
+	}
+}
+
+// batchEntry is the probe's entry for a chunk: three loops over the
+// selected rows. The first hashes the keys straight from their columns;
+// the second loads the slot words — independent loads, so their cache
+// misses overlap — and applies the tag test, after which a row the tag
+// rules out has cost one cache line and no register (for an anti or outer
+// join those rows are output, so every row goes on); the third walks the
+// chains and hands on the output pairs, in the order the row entry emits
+// them: scan order, then chain order.
+//
+// A probe with another batch stage below it collects the pairs into a pair
+// list — its own selection and ref lists — and when that is full flushes it
+// downstream and resumes the walk, so scratch stays one chunk per probe.
+// The last batch probe of the chain has no list to build: each pair leaves
+// at once, its registers filled from the input's row and refs with this
+// probe's ref beside them.
+func (p *probe) batchEntry(e *Ectx, in *colBatch) {
+	n := in.rows()
+	if n == 0 {
+		return
+	}
+	sel := in.sel
+	if sel == nil {
+		sel = identitySel[:n]
+	}
+	ps := e.probes[p.slot]
+	hash, head := ps.hash[:n], ps.head[:n]
+	p.hashKeys(in, sel, hash)
+	p.chargeLookups(e, n)
+
+	ht := p.rt.ht
+	cand := identitySel[:n]
+	if p.em.unmatched {
+		for j, h := range hash {
+			head[j] = ht.Lookup(h)
+		}
+	} else {
+		cand = ps.cand[:n]
+		k := 0
+		for j, h := range hash {
+			ref := ht.Lookup(h)
+			head[j] = ref
+			cand[k] = int32(j)
+			if ref != 0 {
+				k++
+			}
+		}
+		cand = cand[:k]
+	}
+
+	out := &ps.out
+	out.cols, out.base, out.n = in.cols, in.base, in.n
+	// The output holds this probe's own ref list and, unless the rows leave
+	// here, copies of the earlier probes' lists: slot+1 lists, laid out in
+	// refBuf behind those of the probes before it.
+	lists := e.refBuf[p.slot*(p.slot+1)/2*scanChunkRows:]
+	own := lists[:scanChunkRows]
+	out.refs[p.slot] = own
+	last := p.down.batch == nil
+	if last {
+		out.sel = sel
+		copy(out.refs, in.refs[:p.slot])
+	} else {
+		for t := range p.slot {
+			out.refs[t] = lists[(t+1)*scanChunkRows:][:scanChunkRows]
+		}
+	}
+	kv := e.scratch[p.sidx]
+	k := 0 // pairs in the list
+	for _, c := range cand {
+		j := int(c)
+		for i, src := range p.keys {
+			if cols, row, ok := src.at(in, j); ok {
+				setVal(&kv[i], cols[src.col], p.rt.keyTypes[i], row)
+			} else {
+				kv[i] = Val{}
+			}
+		}
+		if p.residual != nil {
+			p.resFill.row(e, in, j)
+		}
+		pos := chainPos{rest: head[j]}
+		for ref, ok := p.next(e, hash[j], kv, &pos); ok; ref, ok = p.next(e, hash[j], kv, &pos) {
+			ranDown := last
+			if last {
+				own[j] = ref
+				p.fill.row(e, out, j)
+				p.down.row(e)
+			} else {
+				if k == scanChunkRows {
+					out.sel = ps.sel[:k]
+					p.down.batch(e, out)
+					k, ranDown = 0, true
+				}
+				ps.sel[k] = sel[j]
+				for t := range p.slot {
+					out.refs[t][k] = in.refs[t][j]
+				}
+				own[k] = ref
+				k++
+			}
+			if pos.rest == 0 {
+				break // it has output something, and the chain is at its end
+			}
+			if ranDown && p.residual != nil {
+				p.resFill.row(e, in, j) // downstream has used the registers
+			}
+		}
+	}
+	if !last {
+		out.sel = ps.sel[:k]
+		p.down.batch(e, out)
+	}
+}
+
+// hashKeys computes hashVals of every selected row's key, one loop per key
+// column.
+func (p *probe) hashKeys(b *colBatch, sel []int32, hash []uint64) {
+	for j := range hash {
+		hash[j] = hashSeed
+	}
+	for i, src := range p.keys {
+		t := p.rt.keyTypes[i]
+		if src.probe != nil {
+			// A payload column of an earlier probe: gathered through that
+			// probe's refs, a nil ref reading as the zero value.
+			refs, areas := b.refs[src.probe.slot], src.probe.rt.areas.Areas
+			for j := range hash {
+				var v Val
+				if ref := refs[j]; ref != 0 {
+					aw, row := decodeRef(ref)
+					setVal(&v, areas[aw].Cols[src.col], t, row)
+				}
+				switch t {
+				case TInt:
+					hash[j] = mixWord(hash[j], uint64(v.I))
+				case TFloat:
+					hash[j] = mixWord(hash[j], floatWord(v.F))
+				default:
+					hash[j] = mixBytes(hash[j], v.S)
+				}
+			}
+			continue
+		}
+		switch t {
+		case TInt:
+			col := b.ints(src.col)
+			for j, r := range sel {
+				hash[j] = mixWord(hash[j], uint64(col[r]))
+			}
+		case TFloat:
+			col := b.flts(src.col)
+			for j, r := range sel {
+				hash[j] = mixWord(hash[j], floatWord(col[r]))
+			}
+		default:
+			col := b.strs(src.col)
+			for j, r := range sel {
+				hash[j] = mixBytes(hash[j], col[r])
+			}
+		}
+	}
+	for j, h := range hash {
+		hash[j] = finishHash(h)
+	}
 }
 
 // produceUnmatched compiles the post-probe scan over unmatched build

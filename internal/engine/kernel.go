@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/hashtable"
 	"repro/internal/storage"
 )
 
@@ -15,7 +16,9 @@ import (
 // registers are filled afterwards, for the survivors only (see
 // scanMorselBody). A consumer that can work on column slices itself — the
 // aggregation sink — takes the chunk and its selection as a colBatch and
-// evaluates its expressions as vector kernels (vecProg below).
+// evaluates its expressions as vector kernels (vecProg below); a run of
+// hash-join probes takes it, narrows or expands its selection, and hands it
+// on with one build-tuple ref per selected row (join.go).
 //
 // The kernels are a second reading of the row evaluator in expr.go and
 // must agree with it bit for bit: compileCmp's three-way comparator makes
@@ -40,41 +43,88 @@ var identitySel = func() (s [scanChunkRows]int32) {
 }()
 
 // scanScratch is the working memory of one worker inside one scan morsel:
-// the selection the filter kernels narrow, and for a batch consumer the
-// group of each selected row and its vectors. A morsel borrows it from a
-// pool shared by all queries, so a scan allocates nothing per morsel and,
-// in the steady state, nothing per query either.
+// the selection the filter kernels narrow, for a batch consumer the group
+// of each selected row and its vectors, and for a chain of batch probes
+// each probe's vectors. A morsel borrows it from a pool shared by all
+// queries, so a scan allocates nothing per morsel and, in the steady state,
+// nothing per query either; the probe vectors are attached the first time a
+// pooled object serves a pipeline with that many probes, so scans without
+// joins never carry them.
 type scanScratch struct {
-	sel    [scanChunkRows]int32
-	gids   [scanChunkRows]int32
-	vecBuf []float64   // backing of the vectors, scanChunkRows per slot
-	vecs   [][]float64 // current vector of each vecProg slot
+	// Pointers first: the collector scans an object only up to its last
+	// pointer word, which keeps it out of the arrays below.
+	batch  colBatch        // the chunk being worked on
+	vecBuf []float64       // backing of the vectors, scanChunkRows per slot
+	vecs   [][]float64     // current vector of each vecProg slot
+	probes []*probeScratch // one per batch probe of the pipeline
+	refBuf []hashtable.Ref // backing of the probes' output ref lists
+
+	sel  [scanChunkRows]int32
+	gids [scanChunkRows]int32
+}
+
+// probeScratch holds the vectors of one batch probe over one chunk. Each
+// probe of a chain has its own: a probe that flushes a full output
+// downstream resumes afterwards where it stopped.
+type probeScratch struct {
+	out  colBatch                     // the output pair list (first, like scanScratch's pointers)
+	hash [scanChunkRows]uint64        // key hash of each input row
+	head [scanChunkRows]hashtable.Ref // its chain head; 0 = ruled out by the tag
+	cand [scanChunkRows]int32         // input rows that go on to the chain walk
+	sel  [scanChunkRows]int32         // selection of the output
 }
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
-func borrowScanScratch(vecSlots int) *scanScratch {
+// borrowScanScratch takes a scratch with room for vecSlots vectors, and
+// for `probes` batch probes, the i-th of which outputs up to i+1 ref lists.
+func borrowScanScratch(vecSlots, probes int) *scanScratch {
 	s := scanScratchPool.Get().(*scanScratch)
 	if cap(s.vecs) < vecSlots {
 		s.vecBuf = make([]float64, vecSlots*scanChunkRows)
 		s.vecs = make([][]float64, vecSlots)
 	}
 	s.vecs = s.vecs[:vecSlots]
+	for len(s.probes) < probes {
+		s.probes = append(s.probes, new(probeScratch))
+	}
+	for _, ps := range s.probes[:probes] {
+		if cap(ps.out.refs) < probes {
+			ps.out.refs = make([][]hashtable.Ref, probes)
+		}
+		ps.out.refs = ps.out.refs[:probes]
+	}
+	if need := probes * (probes + 1) / 2 * scanChunkRows; len(s.refBuf) < need {
+		s.refBuf = make([]hashtable.Ref, need)
+	}
 	return s
 }
 
-func (s *scanScratch) release() {
+// release returns the scratch of a pipeline with the given number of batch
+// probes, dropping what it holds of the partition first.
+func (s *scanScratch) release(probes int) {
 	clear(s.vecs) // they may alias column slices
+	s.batch.cols = nil
+	for _, ps := range s.probes[:probes] {
+		ps.out.cols = nil
+	}
 	scanScratchPool.Put(s)
 }
 
 // colBatch is one chunk of a scan morsel: the partition's columns, the
-// chunk's row range, and the rows the scan filter kept.
+// chunk's row range, and the rows the scan filter kept. Behind a batch
+// probe it is a pair list: the selection may repeat a row (one entry per
+// match), and refs holds each entry's build tuples.
 type colBatch struct {
 	cols []*storage.Column
 	base int     // first row of the chunk
 	n    int     // rows in the chunk
-	sel  []int32 // kept row offsets from base, ascending; nil = all n rows
+	sel  []int32 // kept row offsets from base, ascending (an expanding probe repeats one); nil = all n rows
+	// refs[s][j], behind the pipeline's s-th batch probe, is the build
+	// tuple that probe matched for the j-th selected row (0 = none, an
+	// outer or anti join's unmatched row); a probe's output holds its own
+	// list and the lists of every probe before it.
+	refs [][]hashtable.Ref
 }
 
 // rows returns the number of selected rows.
@@ -97,13 +147,16 @@ func (b *colBatch) ints(col int) []int64   { return b.cols[col].Ints[b.base : b.
 func (b *colBatch) flts(col int) []float64 { return b.cols[col].Flts[b.base : b.base+b.n] }
 func (b *colBatch) strs(col int) []string  { return b.cols[col].Strs[b.base : b.base+b.n] }
 
-// regFill loads a set of scan registers for one row: register reg, of
-// static type t, from partition column col. A register's type never
-// changes, so only the Val field of that type is ever written.
-type regFill []struct {
+// colReg says that register reg, of static type t, is loaded from column
+// col — of the scanned partition, or of a join's build tuples.
+type colReg struct {
 	reg, col int
 	t        Type
 }
+
+// regFill loads a set of scan registers for one row. A register's type
+// never changes, so only the Val field of that type is ever written.
+type regFill []colReg
 
 // fillFor builds the fill of the given scan registers.
 func (pc *pipeCtx) fillFor(regs []int) regFill {
@@ -115,17 +168,97 @@ func (pc *pipeCtx) fillFor(regs []int) regFill {
 }
 
 func (f regFill) row(e *Ectx, cols []*storage.Column, r int) {
-	regs := e.Regs
 	for _, rc := range f {
-		col := cols[rc.col]
-		switch rc.t {
-		case TInt:
-			regs[rc.reg].I = col.Ints[r]
-		case TFloat:
-			regs[rc.reg].F = col.Flts[r]
-		default:
-			regs[rc.reg].S = col.Strs[r]
+		setVal(&e.Regs[rc.reg], cols[rc.col], rc.t, r)
+	}
+}
+
+// setVal writes row r of a column into a register of static type t.
+func setVal(v *Val, col *storage.Column, t Type, r int) {
+	switch t {
+	case TInt:
+		v.I = col.Ints[r]
+	case TFloat:
+		v.F = col.Flts[r]
+	default:
+		v.S = col.Strs[r]
+	}
+}
+
+// regSrc is where a batch stage reads a register's value from: a column of
+// the scanned partition, or a column of the build tuple an earlier batch
+// probe of the same pipeline matched. Registers an operator computes (Map,
+// a row probe's payload) have no source; no batch stage runs behind those.
+type regSrc struct {
+	probe *probe // nil: the scan's partition
+	col   int    // column of the partition / of the probe's build areas; -1: no source
+}
+
+// src returns the source of register k.
+func (pc *pipeCtx) src(k int) regSrc {
+	if k < len(pc.scanCols) {
+		return regSrc{col: pc.scanCols[k]}
+	}
+	for _, p := range pc.probes {
+		if len(p.payload) > 0 && k >= p.payload[0].reg && k-p.payload[0].reg < len(p.payload) {
+			return regSrc{probe: p, col: p.payload[k-p.payload[0].reg].col}
 		}
+	}
+	return regSrc{col: -1}
+}
+
+// at locates the source's tuple for the j-th selected row of b; ok is
+// false where the probe matched nothing, which reads as the zero Val.
+func (s regSrc) at(b *colBatch, j int) (cols []*storage.Column, row int, ok bool) {
+	if s.probe == nil {
+		return b.cols, b.row(j), true
+	}
+	ref := b.refs[s.probe.slot][j]
+	if ref == 0 {
+		return nil, 0, false
+	}
+	aw, row := decodeRef(ref)
+	return s.probe.rt.areas.Areas[aw].Cols, row, true
+}
+
+// pairFill loads registers for one entry of a pair list: the scan-backed
+// ones from the entry's partition row, the others probe by probe from the
+// build tuple the entry's ref names.
+type pairFill struct {
+	scan  regFill
+	built []probeRegs
+}
+
+// probeRegs are payload registers of one batch probe.
+type probeRegs struct {
+	probe *probe
+	regs  []colReg
+}
+
+// pairFillFor builds the fill of those of the given registers that have a
+// source.
+func (pc *pipeCtx) pairFillFor(regs []int) (f pairFill) {
+	for _, k := range regs {
+		switch src := pc.src(k); {
+		case src.col < 0:
+		case src.probe == nil:
+			f.scan = append(f.scan, colReg{k, src.col, pc.regs[k].Type})
+		default:
+			// Neighbouring registers of one probe share a group.
+			if n := len(f.built); n == 0 || f.built[n-1].probe != src.probe {
+				f.built = append(f.built, probeRegs{probe: src.probe})
+			}
+			g := &f.built[len(f.built)-1]
+			g.regs = append(g.regs, colReg{k, src.col, pc.regs[k].Type})
+		}
+	}
+	return f
+}
+
+func (f *pairFill) row(e *Ectx, b *colBatch, j int) {
+	f.scan.row(e, b.cols, b.row(j))
+	for _, g := range f.built {
+		g.probe.rt.load(e, b.refs[g.probe.slot][j], g.regs)
 	}
 }
 

@@ -47,7 +47,6 @@ func kernelFixture(rng *rand.Rand, n int) ([]Reg, []*storage.Column) {
 func kernelPipe(regs []Reg) *pipeCtx {
 	pc := (&compiler{workers: 1, sockets: 1}).newPipe()
 	pc.scanCols = make([]int, len(regs))
-	pc.used = make([]bool, len(regs))
 	for k, r := range regs {
 		pc.addReg(r.Name, r.Type)
 		pc.scanCols[k] = k
@@ -126,7 +125,7 @@ func TestSelectionKernelsMatchRowEvaluator(t *testing.T) {
 	}
 	fillAll := pc.fillFor(all)
 	e := newEctx(len(regs), 1, nil)
-	e.scanScratch = borrowScanScratch(0)
+	e.scanScratch = borrowScanScratch(0, 0)
 
 	check := func(x *Expr, wantTyped bool) {
 		t.Helper()
@@ -658,7 +657,7 @@ func TestScanMorselAllocatesNothing(t *testing.T) {
 	w := dispatch.NewSimRunner(d, dispatch.SimConfig{}).Workers()[0]
 	m := storage.Morsel{Part: tbl.Parts[0], Begin: 0, End: tbl.Parts[0].Rows()}
 	body(w, m) // creates the context and the groups
-	if allocs := testing.AllocsPerRun(20, func() { body(w, m) }); allocs != 0 {
+	if allocs := morselAllocs(20, func() { body(w, m) }); allocs != 0 {
 		t.Errorf("a steady-state morsel allocates %v times", allocs)
 	}
 	if got := sa.locals[0].len(); got != 2 {

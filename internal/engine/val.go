@@ -1,12 +1,15 @@
 // Package engine implements the morsel-driven query engine: pipelines
 // compiled into composed closures (the Go analog of HyPer's JIT-compiled
-// pipeline fragments), a column-at-a-time scan front end — selection-vector
-// filter kernels and a batch aggregation sink over a morsel's typed column
-// slices (kernel.go) — ahead of a register file of Vals that carries the
-// surviving rows through joins and the other row-at-a-time operators,
-// expression evaluation, and the paper's parallel operators — pipelined hash joins on
-// the lock-free tagged hash table (§4.1/§4.2, with semi/anti/mark/outer
-// variants), two-phase parallel aggregation (§4.4), parallel merge sort /
+// pipeline fragments), a column-at-a-time front end on every column-sourced
+// pipeline — selection-vector filter kernels, hash-join probes that take a
+// chunk at a time and pass (scan row, build ref) pair lists down a chain of
+// joins, and a batch aggregation sink, all over a morsel's typed column
+// slices (kernel.go, join.go) — ahead of a register file of Vals, filled
+// only for the rows that leave the last batch stage, that carries them
+// through the row-at-a-time operators, expression evaluation, and the
+// paper's parallel operators — pipelined hash joins on the lock-free tagged
+// hash table (§4.1/§4.2, with semi/anti/mark/outer variants, probed tag
+// first), two-phase parallel aggregation (§4.4), parallel merge sort /
 // top-k (§4.5), and Materialize, a compute-once buffer shared by several
 // consumers — all executing morsel-wise under the dispatcher. Plans are
 // immutable under compilation, so one prepared plan serves many
@@ -102,9 +105,8 @@ type Ectx struct {
 	// joins — cannot clobber each other.
 	scratch [][]Val
 
-	// Scan front end (kernel.go): the chunk being worked on, and the
-	// working memory borrowed for the morsel at hand.
-	batch colBatch
+	// Scan front end (kernel.go): the working memory borrowed for the
+	// morsel at hand, the chunk being worked on included.
 	*scanScratch
 
 	cpuUnits   float64
@@ -155,10 +157,10 @@ func (e *Ectx) flush() {
 }
 
 // rowFn is a compiled pipeline step: it consumes the current register
-// values and pushes them onward. Behind the scan front end, pipelines are
-// rowFn chains composed at plan-compile time — one closure call per
-// operator per surviving tuple, no intermediate materialization,
-// mirroring the paper's JIT'd pipelines.
+// values and pushes them onward. Behind the batch stages of the front end
+// (filter kernels, batch probes), pipelines are rowFn chains composed at
+// plan-compile time — one closure call per operator per surviving tuple,
+// no intermediate materialization, mirroring the paper's JIT'd pipelines.
 type rowFn func(e *Ectx)
 
 // Group keys are byte strings: each key value appended in turn by one of

@@ -499,7 +499,7 @@ func clusterSmoke(nodes []string, sf float64, timeoutMs int) error {
 			return fmt.Errorf("stats from node %d: %v", i, err)
 		}
 		if st.Cluster == nil || st.Cluster.FramesStreamed == 0 {
-			return fmt.Errorf("node %d streamed no exchange frames — distributed path ran in barrier mode", i)
+			return fmt.Errorf("node %d streamed no exchange frames — no distributed query reached its inboxes", i)
 		}
 		fmt.Printf("node %d: %d frames streamed, %d fragment retries, %.1fms stalled on flow control\n",
 			i, st.Cluster.FramesStreamed, st.Cluster.FragRetries,

@@ -55,7 +55,7 @@ type compiler struct {
 	mats map[*Node]*matCompiled
 
 	// streams collects every stream-fed job compiled from a stream scan
-	// or a streamable exchange, awaiting its source binding after Submit.
+	// or a Real-mode exchange, awaiting its source binding after Submit.
 	streams []compiledStream
 
 	// snap pins the data-version every table scan reads (sealed

@@ -48,11 +48,12 @@ func (k ExchangeKind) String() string {
 // according to kind before the plan continues. keys names the routing
 // columns (ExchangePartition only); nodes is the cluster size.
 //
-// Executed single-node, an Exchange is a pipeline breaker that buffers
-// and rescans its input — the plan computes the same rows it would
-// distributed, which is what the parity tests rely on. The distributed
-// runtime replaces the boundary with the wire: fragments run per node
-// and the exchange's rows arrive through receive-side inboxes.
+// Executed single-node, an Exchange computes the same rows it would
+// distributed, which is what the parity tests rely on: in Real mode it
+// streams, in Sim it is a pipeline breaker that buffers and rescans its
+// input (see produceExchange). The distributed runtime replaces the
+// boundary with the wire: fragments run per node and the exchange's rows
+// arrive through receive-side inboxes.
 func (n *Node) Exchange(kind ExchangeKind, keys []string, nodes int) *Node {
 	if nodes < 1 {
 		panic("engine: exchange over fewer than 1 node")
@@ -66,65 +67,29 @@ func (n *Node) Exchange(kind ExchangeKind, keys []string, nodes int) *Node {
 	return &Node{plan: n.plan, kind: nExchange, child: n, exKind: kind, exKeys: keys, exNodes: nodes, out: n.out}
 }
 
-// Streamable-vs-barrier marking of an exchange edge. Hand-built plans
-// stay unmarked and keep the barrier semantics; the distributed planner
-// marks every edge and Explain prints the choice.
-const (
-	exUnmarked uint8 = iota
-	exStreamed
-	exBarrier
-)
-
-// MarkStreamed records the planner's streamable-vs-barrier decision for
-// this exchange edge. Streamed edges hand rows to the consumer as they
-// arrive (no stage barrier); barrier edges buffer until the producing
-// side finished — required when the consumer's semantics need all input
-// up front (sort, Materialize).
-func (n *Node) MarkStreamed(streamed bool) *Node {
-	if n.kind != nExchange {
-		panic("engine: MarkStreamed on a non-exchange node")
-	}
-	if streamed {
-		n.exStream = exStreamed
-	} else {
-		n.exStream = exBarrier
-	}
-	return n
-}
-
-// Streamed reports whether the planner marked this exchange edge
-// streamable.
-func (n *Node) Streamed() bool { return n.exStream == exStreamed }
-
 // describeExchange renders the Explain marker, e.g.
-// "exchange hash(o_custkey) → 2 nodes [streamed]" (docs/explain.md).
+// "exchange hash(o_custkey) → 2 nodes" (docs/explain.md).
 func describeExchange(n *Node) string {
-	var s string
 	switch n.exKind {
 	case ExchangePartition:
-		s = fmt.Sprintf("exchange hash(%s) → %d nodes", strings.Join(n.exKeys, ", "), n.exNodes)
+		return fmt.Sprintf("exchange hash(%s) → %d nodes", strings.Join(n.exKeys, ", "), n.exNodes)
 	case ExchangeBroadcast:
-		s = fmt.Sprintf("exchange broadcast → %d nodes", n.exNodes)
+		return fmt.Sprintf("exchange broadcast → %d nodes", n.exNodes)
 	default:
-		s = fmt.Sprintf("exchange gather ← %d nodes", n.exNodes)
+		return fmt.Sprintf("exchange gather ← %d nodes", n.exNodes)
 	}
-	switch n.exStream {
-	case exStreamed:
-		s += " [streamed]"
-	case exBarrier:
-		s += " [barrier]"
-	}
-	return s
 }
 
-// produceExchange compiles an Exchange for single-node execution: a
-// buffer-and-rescan pipeline breaker, exactly like Materialize but
-// charged as an exchange hand-off. The buffered rows re-enter the
-// downstream pipeline as fresh morsels — locally from the buffer table,
-// distributed from the peer inboxes — so consumers cannot tell the two
-// apart.
+// produceExchange compiles an Exchange for single-node execution, and
+// owns the one rule for how an exchange edge runs: in Real mode it
+// streams (produceStreamExchange); in Sim it is a buffer-and-rescan
+// pipeline breaker, exactly like Materialize but charged as an exchange
+// hand-off, which keeps virtual time deterministic. Either way the rows
+// re-enter the downstream pipeline as fresh morsels — locally from the
+// buffer or stream, distributed from the peer inboxes — so consumers
+// cannot tell the paths apart.
 func (c *compiler) produceExchange(n *Node, f consumerFactory) []tailJob {
-	if n.exStream == exStreamed && c.sess.Mode == Real {
+	if c.sess.Mode == Real {
 		return c.produceStreamExchange(n, f)
 	}
 	sink := newResultSink(n.out, c.workers)
@@ -150,15 +115,14 @@ func (c *compiler) produceExchange(n *Node, f consumerFactory) []tailJob {
 	return []tailJob{job}
 }
 
-// produceStreamExchange compiles an Exchange the planner marked
-// streamable, for Real-mode execution: the child's rows are chunked into
-// partitions and fed to a StreamSource as they are produced, while a
-// stream-fed scan job consumes them concurrently — no stage barrier.
-// This is the same StreamSource hand-off the distributed runtime uses
-// for peer inboxes, so a single node overlaps independent pipeline
-// stages through the identical code path. A closer job gated on the
-// child's tails flushes partial chunks and ends the stream; Sim mode
-// keeps the barrier implementation for deterministic virtual time.
+// produceStreamExchange compiles an Exchange for Real-mode execution:
+// the child's rows are chunked into partitions and fed to a
+// StreamSource as they are produced, while a stream-fed scan job
+// consumes them concurrently — no stage barrier. This is the same
+// StreamSource hand-off the distributed runtime uses for peer inboxes,
+// so a single node overlaps independent pipeline stages through the
+// identical code path. A closer job gated on the child's tails flushes
+// partial chunks and ends the stream.
 func (c *compiler) produceStreamExchange(n *Node, f consumerFactory) []tailJob {
 	label := "exchange(" + n.exKind.String() + ")"
 	src := NewStreamSource(label)

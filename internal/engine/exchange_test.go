@@ -6,9 +6,10 @@ import (
 )
 
 // TestExchangePassthrough checks the single-node semantics of each
-// exchange kind: a pipeline breaker that changes no rows. Distributed
-// parity tests build on this — the Combined plan with inline exchanges
-// must compute exactly what its exchange-free original computes.
+// exchange kind in both modes — Sim's buffer-and-rescan breaker and
+// Real's stream — as an edge that changes no rows. Distributed parity
+// tests build on this: the Combined plan with inline exchanges must
+// compute exactly what its exchange-free original computes.
 func TestExchangePassthrough(t *testing.T) {
 	tab := matTestTable()
 	base := func() (*Plan, *Node) {
@@ -36,21 +37,22 @@ func TestExchangePassthrough(t *testing.T) {
 			"exchange gather ← 2 nodes"},
 	}
 	for _, tc := range cases {
-		p, n := base()
-		n = tc.wrap(n)
-		p.ReturnSorted(n.GroupBy([]NamedExpr{N("k", Col("k"))}, []AggDef{Sum("s", Col("v")), Count("c")}), 0, Asc("k"))
-		if ex := p.Explain(); !strings.Contains(ex, tc.mark) {
-			t.Fatalf("%s: explain missing %q:\n%s", tc.name, tc.mark, ex)
-		}
-		s := newTestSession(Sim)
-		res, _ := s.Run(p)
-		got := rowsToStrings(res)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d rows, want %d", tc.name, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: row %d = %q, want %q", tc.name, i, got[i], want[i])
+		for _, mode := range []Mode{Sim, Real} {
+			p, n := base()
+			n = tc.wrap(n)
+			p.ReturnSorted(n.GroupBy([]NamedExpr{N("k", Col("k"))}, []AggDef{Sum("s", Col("v")), Count("c")}), 0, Asc("k"))
+			if ex := p.Explain(); !strings.Contains(ex, tc.mark) {
+				t.Fatalf("%s: explain missing %q:\n%s", tc.name, tc.mark, ex)
+			}
+			res, _ := newTestSession(mode).Run(p)
+			got := rowsToStrings(res)
+			if len(got) != len(want) {
+				t.Fatalf("%s mode %d: %d rows, want %d", tc.name, mode, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s mode %d: row %d = %q, want %q", tc.name, mode, i, got[i], want[i])
+				}
 			}
 		}
 	}

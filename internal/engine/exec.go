@@ -109,7 +109,7 @@ func (x *Exec) RunSnap(ctx context.Context, p *Plan, priority int, snap *storage
 
 // RunToStream compiles and executes a plan, feeding its result to out in
 // chunked partitions as the root pipelines produce them — the sending
-// half of a streamable exchange edge. out is closed exactly once: with
+// half of an exchange edge. out is closed exactly once: with
 // nil on success, the failure otherwise. Plans with a terminal sort
 // buffer at the sort barrier and ship afterwards (the barrier the
 // planner retained on purpose: per-node top-k fragments still send at

@@ -67,6 +67,10 @@ func (n *Node) Kind() NodeKind { return kindNames[n.kind] }
 // Root returns the plan's result node.
 func (p *Plan) Root() *Node { return p.root }
 
+// OutSchema returns the plan's output columns as a storage schema: the
+// schema of the partitions RunToStream ships.
+func (p *Plan) OutSchema() storage.Schema { return storageSchema(p.root.out) }
+
 // SortSpec returns the plan's terminal ORDER BY keys and LIMIT
 // (0 = no limit, LimitZero = LIMIT 0).
 func (p *Plan) SortSpec() ([]SortKey, int) { return p.sortKeys, p.limit }

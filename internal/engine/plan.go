@@ -208,10 +208,6 @@ type Node struct {
 	exKind  ExchangeKind
 	exKeys  []string
 	exNodes int
-	// exStream is the planner's streamable-vs-barrier marking for this
-	// exchange edge (exUnmarked for hand-built plans, which keep the
-	// barrier semantics).
-	exStream uint8
 
 	// estRows is the optimizer's estimated output cardinality (0 = not
 	// annotated). Explain renders it so plan choices are testable.
@@ -282,7 +278,7 @@ func (p *Plan) Scan(t *storage.Table, cols ...string) *Node {
 // ScanStream reads the listed columns from a stream source instead of a
 // static table: t is a schema-only stub that types the stream, and the
 // rows arrive through src while the producer is still running — the
-// receiving end of a streamable exchange edge. Real mode only.
+// receiving end of an exchange edge. Real mode only.
 func (p *Plan) ScanStream(src *StreamSource, t *storage.Table, cols ...string) *Node {
 	n := p.Scan(t, cols...)
 	n.stream = src

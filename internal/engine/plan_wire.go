@@ -171,7 +171,6 @@ type wireNode struct {
 	Exchange string   `json:"exchange,omitempty"`
 	ExKeys   []string `json:"exKeys,omitempty"`
 	ExNodes  int      `json:"exNodes,omitempty"`
-	ExStream string   `json:"exStream,omitempty"` // "streamed" | "barrier" | "" (unmarked)
 }
 
 type wireSort struct {
@@ -280,12 +279,6 @@ func EncodePlan(p *Plan) ([]byte, error) {
 			wn.Exchange = exchangeWireNames[n.exKind]
 			wn.ExKeys = n.exKeys
 			wn.ExNodes = n.exNodes
-			switch n.exStream {
-			case exStreamed:
-				wn.ExStream = "streamed"
-			case exBarrier:
-				wn.ExStream = "barrier"
-			}
 		default:
 			return 0, fmt.Errorf("engine: cannot encode node kind %v", n.Kind())
 		}
@@ -495,15 +488,6 @@ func DecodePlanStreams(data []byte, lookup func(name string) (*storage.Table, bo
 				return nil, fmt.Errorf("engine: exchange without child")
 			}
 			n = child.Exchange(ek, wn.ExKeys, wn.ExNodes)
-			switch wn.ExStream {
-			case "":
-			case "streamed":
-				n = n.MarkStreamed(true)
-			case "barrier":
-				n = n.MarkStreamed(false)
-			default:
-				return nil, fmt.Errorf("engine: unknown exchange stream marking %q", wn.ExStream)
-			}
 		default:
 			return nil, fmt.Errorf("engine: unknown wire node kind %q", wn.Kind)
 		}

@@ -65,10 +65,7 @@ func (r *Result) String() string {
 // ToTable materializes the result as a hash-partitioned table so later
 // plans can scan it (multi-phase query orchestration).
 func (r *Result) ToTable(name string, nparts, sockets int) *storage.Table {
-	schema := make(storage.Schema, len(r.Schema))
-	for i, reg := range r.Schema {
-		schema[i] = storage.ColDef{Name: reg.Name, Type: reg.Type.colType()}
-	}
+	schema := storageSchema(r.Schema)
 	b := storage.NewBuilder(name, schema, nparts, "")
 	row := make(storage.Row, len(schema))
 	for _, vals := range r.rows {

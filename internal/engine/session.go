@@ -130,7 +130,7 @@ func (s *Session) Run(p *Plan) (*Result, QueryStats) {
 		workers = r.Workers()
 		start := time.Now()
 		if cp.HasStreams() {
-			// Stream-fed jobs (streamable exchanges) bind their sources
+			// Stream-fed jobs (stream scans, exchanges) bind their sources
 			// after Submit, then the in-process producers drive them.
 			r.Start()
 			d.Submit(cp.Query)

@@ -148,11 +148,7 @@ type streamChunker struct {
 }
 
 func newStreamChunker(regs []Reg, workers, chunk int, out PartSink) *streamChunker {
-	schema := make(storage.Schema, len(regs))
-	for i, r := range regs {
-		schema[i] = storage.ColDef{Name: r.Name, Type: r.Type.colType()}
-	}
-	return &streamChunker{regs: regs, schema: schema, out: out, chunk: chunk,
+	return &streamChunker{regs: regs, schema: storageSchema(regs), out: out, chunk: chunk,
 		bufs: make([]*storage.Partition, workers)}
 }
 

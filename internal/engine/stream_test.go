@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -100,89 +99,49 @@ func TestStreamScanError(t *testing.T) {
 	}
 }
 
-// TestStreamExchangeParity: an exchange edge marked streamable executes
-// in-process through the StreamSource hand-off (Real mode) and must
-// produce exactly the rows of the barrier implementation.
+// TestStreamExchangeParity: in Real mode an exchange edge executes
+// in-process through the StreamSource hand-off and must produce exactly
+// the rows of Sim's buffer-and-rescan barrier.
 func TestStreamExchangeParity(t *testing.T) {
 	tab := matTestTable()
-	build := func(streamed bool) *Plan {
+	build := func() *Plan {
 		p := NewPlan("sxchg")
 		n := p.Scan(tab, "k", "v").Filter(Lt(Col("k"), ConstI(30))).
-			Exchange(ExchangeGather, nil, 2).MarkStreamed(streamed)
+			Exchange(ExchangeGather, nil, 2)
 		p.ReturnSorted(n.GroupBy([]NamedExpr{N("k", Col("k"))},
 			[]AggDef{Sum("s", Col("v")), Count("c")}), 0, Asc("k"))
 		return p
 	}
 
-	barrier := build(false)
-	sb := newTestSession(Real)
-	want, _ := sb.Run(barrier)
-
-	streamed := build(true)
-	if ex := streamed.Explain(); !strings.Contains(ex, "exchange gather ← 2 nodes [streamed]") {
-		t.Fatalf("explain missing streamed marker:\n%s", ex)
+	want, _ := newTestSession(Sim).Run(build())
+	rs := newTestSession(Real)
+	if !rs.Compile(build()).HasStreams() {
+		t.Fatal("Real-mode exchange compiled without a stream")
 	}
-	ss := newTestSession(Real)
-	got, _ := ss.Run(streamed)
+	if newTestSession(Sim).Compile(build()).HasStreams() {
+		t.Fatal("Sim-mode exchange compiled a stream")
+	}
+	got, _ := rs.Run(build())
 	sameRows(t, got, rowsToStrings(want), "streamed exchange")
-
-	// The same marked plan in Sim mode keeps the (deterministic)
-	// barrier implementation.
-	sim := newTestSession(Sim)
-	simRes, _ := sim.Run(build(true))
-	sameRows(t, simRes, rowsToStrings(want), "streamed exchange in Sim")
 }
 
-// TestStreamMarkerWire: the streamable-vs-barrier marking survives the
-// plan wire format, and DecodePlanStreams turns a named scan into a
+// TestStreamMarkerWire: DecodePlanStreams turns a named scan into a
 // stream scan.
 func TestStreamMarkerWire(t *testing.T) {
 	tab := matTestTable()
+	lookup := func(name string) (*storage.Table, bool) { return tab, name == "facts" }
+	src := NewStreamSource("$x0")
 	p := NewPlan("wire")
-	p.Return(p.Scan(tab, "k", "v").
-		Exchange(ExchangeBroadcast, nil, 2).MarkStreamed(true))
+	p.Return(p.Scan(tab, "k", "v"))
 	data, err := EncodePlan(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lookup := func(name string) (*storage.Table, bool) { return tab, name == "facts" }
-	dp, err := DecodePlan(data, lookup)
+	dp, err := DecodePlanStreams(data, lookup, map[string]*StreamSource{"facts": src})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex := dp.Explain(); !strings.Contains(ex, "exchange broadcast → 2 nodes [streamed]") {
-		t.Fatalf("marker lost on the wire:\n%s", ex)
-	}
-
-	// Barrier marking round-trips too.
-	p2 := NewPlan("wire2")
-	p2.Return(p2.Scan(tab, "k", "v").
-		Exchange(ExchangeBroadcast, nil, 2).MarkStreamed(false))
-	data2, err := EncodePlan(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dp2, err := DecodePlan(data2, lookup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex := dp2.Explain(); !strings.Contains(ex, "exchange broadcast → 2 nodes [barrier]") {
-		t.Fatalf("barrier marker lost on the wire:\n%s", ex)
-	}
-
-	// A decode with a registered stream source makes the scan stream-fed.
-	src := NewStreamSource("$x0")
-	p3 := NewPlan("wire3")
-	p3.Return(p3.Scan(tab, "k", "v"))
-	data3, err := EncodePlan(p3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dp3, err := DecodePlanStreams(data3, lookup, map[string]*StreamSource{"facts": src})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dp3.root.stream != src {
+	if dp.root.stream != src {
 		t.Fatal("decoded scan not bound to the stream source")
 	}
 }

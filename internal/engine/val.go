@@ -64,6 +64,15 @@ func (t Type) colType() storage.ColType {
 	}
 }
 
+// storageSchema types a register list as storage columns.
+func storageSchema(regs []Reg) storage.Schema {
+	s := make(storage.Schema, len(regs))
+	for i, r := range regs {
+		s[i] = storage.ColDef{Name: r.Name, Type: r.Type.colType()}
+	}
+	return s
+}
+
 func typeOfCol(c storage.ColType) Type {
 	switch c {
 	case storage.I64:

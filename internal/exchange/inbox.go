@@ -1,11 +1,9 @@
 package exchange
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/numa"
 	"repro/internal/storage"
@@ -35,61 +33,35 @@ const (
 	senderDirty
 )
 
-// Inbox accumulates morsel streams received from peer nodes for one
-// (query, stage). In barrier mode (NewInbox) frames buffer until Table
-// exposes them as a scannable table once every sender finished. In
-// streaming mode (NewStreamInbox) decoded partitions are handed to a
-// bound Sink as frames arrive — bounded upstream by the sender's Outbox
-// window — and the sink is closed when the expected number of senders
-// delivered their end frames. Receive/ReceiveFrom are safe to call
-// concurrently (one call per sender stream).
+// Inbox accumulates the morsel streams peer nodes send for one (query,
+// stage). Decoded partitions are handed to a bound Sink as frames arrive
+// — bounded upstream by the sender's Outbox window — and the sink is
+// closed when the expected number of senders delivered their end frames.
+// ReceiveFrom is safe to call concurrently (one call per sender stream).
 type Inbox struct {
 	sockets int
-
-	// senders is the expected stream count in streaming mode; 0 means
-	// barrier mode (any number of streams, no completion tracking).
-	senders int
+	senders int // expected stream count
 
 	mu      sync.Mutex
 	schema  storage.Schema
-	parts   []*storage.Partition // buffered until a sink is bound
-	nextPt  int
+	parts   []*storage.Partition // every partition so far, replayed on Bind
 	sink    Sink
 	streams map[int]uint8 // sender id -> stream state
 	ended   int
 	closed  bool
 	err     error
-	done    chan struct{}
-
-	frames atomic.Int64 // morsel frames delivered (stats)
 }
 
-// NewInbox creates a barrier-mode inbox; received partitions are homed
-// round-robin across `sockets` NUMA nodes (the data is freshly allocated
+// NewStreamInbox creates an inbox expecting exactly `senders` streams.
+// Decoded partitions flow to the Sink bound with Bind (frames arriving
+// earlier are buffered and replayed at bind time). They are homed
+// round-robin across `sockets` NUMA nodes: the data is freshly allocated
 // by the receiving process, so any assignment is as good as the
-// allocator's).
-func NewInbox(sockets int) *Inbox {
-	if sockets < 1 {
-		sockets = 1
-	}
-	return &Inbox{sockets: sockets, done: make(chan struct{})}
-}
-
-// NewStreamInbox creates a streaming inbox expecting exactly `senders`
-// streams. Decoded partitions flow to the Sink bound with Bind (frames
-// arriving earlier are buffered and replayed at bind time).
+// allocator's.
 func NewStreamInbox(sockets, senders int) *Inbox {
-	ib := NewInbox(sockets)
-	if senders < 1 {
-		senders = 1
-	}
-	ib.senders = senders
-	ib.streams = make(map[int]uint8, senders)
-	return ib
+	senders = max(senders, 1)
+	return &Inbox{sockets: max(sockets, 1), senders: senders, streams: make(map[int]uint8, senders)}
 }
-
-// Streaming reports whether the inbox tracks sender completion.
-func (ib *Inbox) Streaming() bool { return ib.senders > 0 }
 
 // Bind attaches (or replaces) the consuming sink. Already-received
 // partitions are replayed into it immediately, and a completion (or
@@ -112,12 +84,6 @@ func (ib *Inbox) Bind(sink Sink) {
 	}
 }
 
-// Receive decodes one sender's stream into the inbox (barrier mode, or
-// tests): no duplicate detection, no completion accounting.
-func (ib *Inbox) Receive(r io.Reader) error {
-	return ib.receive(r)
-}
-
 // ReceiveFrom decodes the stream pushed by the given sender. Completed
 // duplicates (a fragment retried after a lost acknowledgement re-ships
 // identical data) are drained and ignored; a retry after a partial
@@ -125,10 +91,6 @@ func (ib *Inbox) Receive(r io.Reader) error {
 // stream, the bound sink closes cleanly.
 func (ib *Inbox) ReceiveFrom(sender int, r io.Reader) error {
 	ib.mu.Lock()
-	if ib.streams == nil {
-		ib.mu.Unlock()
-		return fmt.Errorf("exchange: ReceiveFrom on a barrier inbox")
-	}
 	if ib.err != nil {
 		err := ib.err
 		ib.mu.Unlock()
@@ -221,35 +183,15 @@ func (ib *Inbox) failLocked(err error) Sink {
 	return ib.closeLocked()
 }
 
-// closeLocked marks the inbox complete and wakes waiters, returning the
-// sink to Close — exactly once across all close paths; callers invoke it
-// after releasing the lock, since a sink's Close may take the
-// dispatcher's lock.
+// closeLocked marks the inbox complete, returning the sink to Close —
+// exactly once across all close paths; callers invoke it after releasing
+// the lock, since a sink's Close may take the dispatcher's lock.
 func (ib *Inbox) closeLocked() Sink {
 	if ib.closed {
 		return nil
 	}
 	ib.closed = true
-	close(ib.done)
 	return ib.sink
-}
-
-// Err returns the inbox's first stream error, if any.
-func (ib *Inbox) Err() error {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	return ib.err
-}
-
-// WaitClosed blocks until every expected sender finished (or the inbox
-// failed), honoring ctx. Barrier consumers use it before Table.
-func (ib *Inbox) WaitClosed(ctx context.Context) error {
-	select {
-	case <-ib.done:
-		return ib.Err()
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 func (ib *Inbox) checkSchema(s storage.Schema) error {
@@ -272,41 +214,18 @@ func (ib *Inbox) checkSchema(s storage.Schema) error {
 
 func (ib *Inbox) add(p *storage.Partition) {
 	ib.mu.Lock()
-	p.Home = numa.SocketID(ib.nextPt % ib.sockets)
-	ib.nextPt++
+	p.Home = numa.SocketID(len(ib.parts) % ib.sockets)
 	ib.parts = append(ib.parts, p)
 	sink := ib.sink
 	ib.mu.Unlock()
-	ib.frames.Add(1)
 	if sink != nil {
 		sink.Feed(p)
 	}
 }
 
 // Frames returns the number of morsel frames delivered so far.
-func (ib *Inbox) Frames() int64 { return ib.frames.Load() }
-
-// Rows returns the number of rows received so far.
-func (ib *Inbox) Rows() int {
+func (ib *Inbox) Frames() int64 {
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
-	n := 0
-	for _, p := range ib.parts {
-		n += p.Rows()
-	}
-	return n
-}
-
-// Table wraps the received partitions as a table named `name`, against a
-// fallback schema for streams that delivered zero senders' worth of
-// data. Call it only after every sender finished (streaming consumers
-// gate on WaitClosed first).
-func (ib *Inbox) Table(name string, fallback storage.Schema) *storage.Table {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	schema := ib.schema
-	if schema == nil {
-		schema = fallback
-	}
-	return &storage.Table{Name: name, Schema: schema, Parts: ib.parts}
+	return int64(len(ib.parts))
 }

@@ -125,38 +125,47 @@ func TestParseCluster(t *testing.T) {
 	}
 }
 
+// TestInboxAccumulates: partitions from every sender reach the bound
+// sink with the senders' schema, and a sender whose schema disagrees
+// with the first one poisons the inbox.
 func TestInboxAccumulates(t *testing.T) {
-	ib := NewInbox(2)
-	send := func(rows [][]any) {
+	ib := NewStreamInbox(2, 3)
+	sink := newCollectSink()
+	ib.Bind(sink)
+	send := func(sender int, schema storage.Schema, rows [][]any) error {
 		var buf bytes.Buffer
-		w := NewWriter(&buf, testSchema)
-		if err := w.WritePartition(buildPartition(testSchema, rows), 2); err != nil {
-			t.Fatal(err)
+		w := NewWriter(&buf, schema)
+		if len(rows) > 0 {
+			if err := w.WritePartition(buildPartition(schema, rows), 2); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := w.WriteEnd(); err != nil {
 			t.Fatal(err)
 		}
-		if err := ib.Receive(&buf); err != nil {
-			t.Fatal(err)
-		}
+		return ib.ReceiveFrom(sender, &buf)
 	}
-	send([][]any{{int64(1), 1.0, "a"}, {int64(2), 2.0, "b"}, {int64(3), 3.0, "c"}})
-	send([][]any{{int64(4), 4.0, "d"}})
-	tab := ib.Table("$x1", nil)
-	if tab.Rows() != 4 {
-		t.Fatalf("inbox has %d rows, want 4", tab.Rows())
+	if err := send(0, testSchema, [][]any{{int64(1), 1.0, "a"}, {int64(2), 2.0, "b"}, {int64(3), 3.0, "c"}}); err != nil {
+		t.Fatal(err)
 	}
-	if len(tab.Schema) != 3 || tab.Schema[0].Name != "k" {
-		t.Fatalf("inbox schema %v", tab.Schema)
+	if err := send(1, testSchema, [][]any{{int64(4), 4.0, "d"}}); err != nil {
+		t.Fatal(err)
+	}
+	sink.mu.Lock()
+	rows, cols := sink.rows, sink.cols
+	sink.mu.Unlock()
+	if rows != 4 {
+		t.Fatalf("sink has %d rows, want 4", rows)
+	}
+	if len(cols) != 3 || cols[0] != "k" {
+		t.Fatalf("sink columns %v", cols)
 	}
 
 	// Mismatching sender schema must be rejected.
-	var buf bytes.Buffer
-	w := NewWriter(&buf, storage.Schema{{Name: "other", Type: storage.I64}})
-	if err := w.WriteEnd(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ib.Receive(&buf); err == nil {
+	if err := send(2, storage.Schema{{Name: "other", Type: storage.I64}}, nil); err == nil {
 		t.Fatal("schema mismatch accepted")
+	}
+	if err := sink.wait(t); err == nil {
+		t.Fatal("sink closed cleanly after a schema mismatch")
 	}
 }

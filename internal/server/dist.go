@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -27,12 +28,12 @@ import (
 // hash-routed) as they are produced, main fragments stream their partial
 // results back to the coordinator's gather inbox, and the coordinator's
 // Final plan consumes the gather as a stream — so downstream pipelines
-// ingest morsels while upstream fragments are still running. Exchange
-// edges the planner marked [barrier] (none are emitted today) fall back
-// to WaitClosed-then-scan. Fragment RPCs carry a per-attempt timeout and
-// bounded retry with backoff; retries are safe because receivers
-// deduplicate complete duplicate streams and poison the query into a
-// clean error on a partial-then-retry (see exchange.Inbox). A fragment
+// ingest morsels while upstream fragments are still running. Every
+// exchange edge streams; no fragment waits for a stage to finish before
+// it starts. Fragment RPCs carry a per-attempt timeout and bounded retry
+// with backoff; retries are safe because receivers deduplicate complete
+// duplicate streams and poison the query into a clean error on a
+// partial-then-retry (see exchange.Inbox). A fragment
 // failure cancels the whole query: the coordinator cancels its context,
 // in-flight RPCs abort, and aborted pushes surface as stream errors on
 // every consuming node. Fragment executions bypass admission on purpose:
@@ -89,9 +90,11 @@ type ClusterStats struct {
 
 // distTrace, when set, observes coarse streaming events in order
 // ("stage <name> node N first frame", "inbox <name> node N first frame",
-// "gather first frame", "main node N done", ...). Tests use it to pin
-// that streaming overlap is real — a consumer saw frames before the
-// producing fragment completed. Nil in production.
+// "gather first frame", "main node N first frame" — fired on a peer
+// before its main fragment's first response bytes — "main node N done",
+// ...). Tests use it to pin that streaming overlap is real — a consumer
+// saw frames before the producing fragment completed — and to inject
+// failures at exact points. Nil in production.
 var (
 	distTraceMu sync.Mutex
 	distTrace   func(event string)
@@ -191,14 +194,11 @@ func (s *Server) ClusterStats() *ClusterStats {
 	}
 }
 
-// inboxDecl tells a fragment executor the schema of a stage inbox, so an
-// inbox that received zero rows still resolves, and whether the planner
-// marked the edge streamable (consume as frames arrive) or barrier
-// (wait for every sender, then scan).
+// inboxDecl tells a fragment executor the schema of a stage inbox, so
+// the fragment's scan of it type-checks before any frame has arrived.
 type inboxDecl struct {
-	Name       string         `json:"name"`
-	Schema     storage.Schema `json:"schema"`
-	Streamable bool           `json:"streamable,omitempty"`
+	Name   string         `json:"name"`
+	Schema storage.Schema `json:"schema"`
 }
 
 // fragmentRequest is the node-to-node execution message: one stage or
@@ -252,27 +252,18 @@ func (cs *clusterState) dropQuery(qid string) {
 	}
 }
 
-// lookupFor resolves fragment table references on this node: stage
-// inboxes first (query-scoped), then shard views, then the full catalog
-// (replicated tables). Streamable inboxes resolve to a schema-only stub
-// — their data arrives through the stream source the scan is bound to.
-func (s *Server) lookupFor(cs *clusterState, qid string, decls []inboxDecl) func(string) (*storage.Table, bool) {
-	declared := make(map[string]inboxDecl, len(decls))
+// lookupFor resolves fragment table references on this node: declared
+// stage inboxes first, as schema-only stubs (their rows arrive through
+// the stream source the scan is bound to), then shard views, then the
+// full catalog (replicated tables).
+func (s *Server) lookupFor(cs *clusterState, decls []inboxDecl) func(string) (*storage.Table, bool) {
+	declared := make(map[string]storage.Schema, len(decls))
 	for _, d := range decls {
-		declared[d.Name] = d
+		declared[d.Name] = d.Schema
 	}
 	return func(name string) (*storage.Table, bool) {
-		if d, ok := declared[name]; ok {
-			if d.Streamable {
-				return &storage.Table{Name: name, Schema: d.Schema}, true
-			}
-			cs.mu.Lock()
-			ib := cs.inboxes[inboxKey(qid, name)]
-			cs.mu.Unlock()
-			if ib == nil {
-				return &storage.Table{Name: name, Schema: d.Schema}, true
-			}
-			return ib.Table(name, d.Schema), true
+		if schema, ok := declared[name]; ok {
+			return &storage.Table{Name: name, Schema: schema}, true
 		}
 		if t, ok := cs.shards[name]; ok {
 			return t, true
@@ -281,29 +272,51 @@ func (s *Server) lookupFor(cs *clusterState, qid string, decls []inboxDecl) func
 	}
 }
 
-// decodeFragment resolves a fragment plan on this node: streamable inbox
-// declarations become stream-fed scans bound to the (possibly not yet
-// arrived) inbox streams; barrier declarations block until every sender
-// finished, then scan the materialized inbox.
-func (s *Server) decodeFragment(ctx context.Context, cs *clusterState, fr *fragmentRequest) (*engine.Plan, error) {
+// decodeFragment resolves a fragment plan on this node and checks it
+// against the request's routing fields; a bad fragment is a
+// BadRequestError. Only then is every inbox declaration bound: each
+// becomes a stream-fed scan of the (possibly not yet arrived) inbox
+// stream.
+func (s *Server) decodeFragment(cs *clusterState, fr *fragmentRequest) (*engine.Plan, error) {
 	streams := make(map[string]*engine.StreamSource, len(fr.Inboxes))
 	for _, d := range fr.Inboxes {
-		if d.Streamable {
-			src := engine.NewStreamSource(d.Name)
-			cs.inbox(fr.QID, d.Name).Bind(&traceSink{
-				name:  fmt.Sprintf("inbox %s node %d", d.Name, cs.cl.Self),
-				inner: src,
-			})
-			streams[d.Name] = src
-		} else if err := cs.inbox(fr.QID, d.Name).WaitClosed(ctx); err != nil {
-			return nil, err
-		}
+		streams[d.Name] = engine.NewStreamSource(d.Name)
 	}
-	p, err := engine.DecodePlanStreams(fr.Plan, s.lookupFor(cs, fr.QID, fr.Inboxes), streams)
+	p, err := engine.DecodePlanStreams(fr.Plan, s.lookupFor(cs, fr.Inboxes), streams)
+	if err == nil {
+		err = checkFragment(fr, p)
+	}
 	if err != nil {
 		return nil, &BadRequestError{Msg: fmt.Sprintf("fragment %s: %v", fr.Name, err)}
 	}
+	for _, d := range fr.Inboxes {
+		cs.inbox(fr.QID, d.Name).Bind(&traceSink{
+			name:  fmt.Sprintf("inbox %s node %d", d.Name, cs.cl.Self),
+			inner: streams[d.Name],
+		})
+	}
 	return p, nil
+}
+
+// checkFragment rejects a fragment whose routing fields do not fit its
+// decoded plan. Execution trusts them on worker goroutines: both kinds
+// encode frames against OutSchema, and a partition stage routes every
+// row by its KeyCol value modulo Parts.
+func checkFragment(fr *fragmentRequest, p *engine.Plan) error {
+	out := p.OutSchema()
+	if !slices.Equal(out, fr.OutSchema) {
+		return fmt.Errorf("out_schema %v does not match the plan's output %v", fr.OutSchema, out)
+	}
+	if fr.Kind != "stage" || fr.Broadcast {
+		return nil
+	}
+	if i := out.Index(fr.KeyCol); i < 0 || out[i].Type != storage.I64 {
+		return fmt.Errorf("key_col %q is not an integer column of the output", fr.KeyCol)
+	}
+	if fr.Parts < 1 {
+		return fmt.Errorf("parts = %d, want at least 1", fr.Parts)
+	}
+	return nil
 }
 
 // destStream is one destination's outgoing frame stream for a stage:
@@ -550,7 +563,7 @@ func (rs *routingSink) Err() error {
 // receiver accounting completes). Returns once every destination
 // acknowledged its stream.
 func (s *Server) execStage(ctx context.Context, cs *clusterState, fr *fragmentRequest) error {
-	p, err := s.decodeFragment(ctx, cs, fr)
+	p, err := s.decodeFragment(cs, fr)
 	if err != nil {
 		return err
 	}
@@ -618,7 +631,7 @@ func (e *encodeSink) Err() error {
 // its output into the gather inbox through the same wire path remote
 // nodes use (so sender accounting and dedupe behave identically).
 func (s *Server) runMainLocal(ctx context.Context, cs *clusterState, fr *fragmentRequest, gather *exchange.Inbox) error {
-	p, err := s.decodeFragment(ctx, cs, fr)
+	p, err := s.decodeFragment(cs, fr)
 	if err != nil {
 		return err
 	}
@@ -644,11 +657,11 @@ func (s *Server) runMainLocal(ctx context.Context, cs *clusterState, fr *fragmen
 
 // runDistributed drives one distributed query from the coordinator.
 // Every fragment — all stages and all main fragments — launches at
-// once; streamable inboxes remove the per-stage barrier, so consumers
-// ingest upstream rows while producers are still running. The Final
-// plan consumes the gather stream concurrently with the fragments. The
-// first fragment failure cancels the query context, failing the gather
-// and aborting every in-flight RPC.
+// once; inboxes stream, so consumers ingest upstream rows while
+// producers are still running. The Final plan consumes the gather
+// stream concurrently with the fragments. The first fragment failure
+// cancels the query context, failing the gather and aborting every
+// in-flight RPC.
 func (s *Server) runDistributed(ctx context.Context, cs *clusterState, dp *sql.DistPlan, priority int) (*engine.Result, error) {
 	qid := fmt.Sprintf("q%d-%d", cs.cl.Self, cs.qidSeq.Add(1))
 	cs.distQueries.Add(1)
@@ -702,7 +715,7 @@ func (s *Server) runDistributed(ctx context.Context, cs *clusterState, dp *sql.D
 		for node := 0; node < cs.cl.N(); node++ {
 			launch(fr, node, func() error { return s.execStage(ctx2, cs, fr) }, nil)
 		}
-		decls = append(decls, inboxDecl{Name: st.Name, Schema: st.Schema, Streamable: st.Streamable})
+		decls = append(decls, inboxDecl{Name: st.Name, Schema: st.Schema})
 	}
 	frMain := &fragmentRequest{
 		QID: qid, Kind: "main", Name: dp.MainName, Plan: dp.Main, Priority: priority,
@@ -717,30 +730,10 @@ func (s *Server) runDistributed(ctx context.Context, cs *clusterState, dp *sql.D
 			})
 	}
 
-	var res *engine.Result
-	var runErr error
-	if dp.GatherStreamable && dp.FinalStream != nil {
-		src := engine.NewStreamSource(dp.MainName)
-		gather.Bind(&traceSink{name: "gather", inner: src})
-		final := dp.FinalStream(src)
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			res, _, runErr = s.exec.Run(ctx2, final, priority)
-		}()
-		wg.Wait()
-		<-done
-	} else {
-		wg.Wait()
-		if fragErr == nil {
-			if err := gather.WaitClosed(ctx2); err != nil {
-				fail(err)
-			} else {
-				final := dp.Final(gather.Table(dp.MainName, dp.MainSchema))
-				res, _, runErr = s.exec.Run(ctx, final, priority)
-			}
-		}
-	}
+	src := engine.NewStreamSource(dp.MainName)
+	gather.Bind(&traceSink{name: "gather", inner: src})
+	res, _, runErr := s.exec.Run(ctx2, dp.Final(src), priority)
+	wg.Wait()
 	if fragErr != nil {
 		return nil, fmt.Errorf("distributed query: %w", fragErr)
 	}
@@ -847,7 +840,7 @@ func (s *Server) handleExchangeRun(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, struct{}{})
 	case "main":
-		p, err := s.decodeFragment(r.Context(), cs, &fr)
+		p, err := s.decodeFragment(cs, &fr)
 		if err != nil {
 			writeJSON(w, statusOf(err, r.Context()), errorBody{Error: err.Error()})
 			return
@@ -857,7 +850,9 @@ func (s *Server) handleExchangeRun(w http.ResponseWriter, r *http.Request) {
 		flusher, _ := w.(http.Flusher)
 		var wrote atomic.Bool
 		ob := exchange.NewOutbox(func(b []byte) error {
-			wrote.Store(true)
+			if !wrote.Swap(true) {
+				traceDist(fmt.Sprintf("main node %d first frame", cs.cl.Self))
+			}
 			n, werr := w.Write(b)
 			cs.bytesOut.Add(int64(n))
 			if flusher != nil {

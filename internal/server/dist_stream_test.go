@@ -1,13 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
+	"repro/internal/storage"
 	"repro/internal/tpch"
 )
 
@@ -184,18 +189,19 @@ func TestClusterNodeDownFailsFast(t *testing.T) {
 	}
 }
 
-// TestClusterNodeKilledMidQuery kills a peer the moment the coordinator
-// starts consuming gathered frames — mid-stream, while fragment RPCs
-// are in flight. The query must fail cleanly within the fragment
-// timeout budget: no hang, no leaked query, and the cluster still
-// serves afterwards.
+// TestClusterNodeKilledMidQuery kills a peer mid-stream: node 1 is
+// severed just before it writes the first bytes of its main fragment's
+// response, so the coordinator can never hold node 1's complete stream,
+// and its retry meets a refused connection. The query must fail cleanly
+// within the fragment timeout budget: no hang, no leaked query, and the
+// cluster still serves afterwards.
 func TestClusterNodeKilledMidQuery(t *testing.T) {
 	cfg := Config{FragTimeout: 2 * time.Second, FragRetries: 1, DefaultTimeout: 20 * time.Second}
 	servers, listeners, db := newTestClusterCfg(t, 2, cfg)
 
 	var kill sync.Once
 	setDistTrace(func(ev string) {
-		if ev == "gather first frame" {
+		if ev == "main node 1 first frame" {
 			kill.Do(func() {
 				// Stop accepting and sever live connections: in-flight
 				// fragment RPCs and pushes die mid-stream, and retries
@@ -223,4 +229,66 @@ func TestClusterNodeKilledMidQuery(t *testing.T) {
 	if len(resp.Rows) != 1 || resp.Rows[0][0].(int64) != 25 {
 		t.Fatalf("post-failure query wrong: %+v", resp.Rows)
 	}
+}
+
+// TestClusterRejectsMalformedFragment posts /exchange/run fragments whose
+// routing fields do not fit their plan, a stage scanning lineitem. Run,
+// each would panic on a worker goroutine once a chunk fills: a partition
+// stage over zero parts divides by zero, a float or unknown key column
+// has no integer keys, and a narrower out_schema indexes past the row.
+// The node must answer 400 before executing, then keep serving with no
+// query left behind.
+func TestClusterRejectsMalformedFragment(t *testing.T) {
+	servers, listeners, _ := newTestClusterCfg(t, 2, Config{})
+	li, ok := servers[1].Table("lineitem")
+	if !ok {
+		t.Fatal("lineitem not registered")
+	}
+	p := engine.NewPlan("$x1")
+	p.Return(p.Scan(li, "l_orderkey", "l_quantity", "l_returnflag"))
+	plan, err := engine.EncodePlan(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := p.OutSchema()
+	cases := []struct {
+		name string
+		edit func(fr *fragmentRequest)
+	}{
+		{"zero parts", func(fr *fragmentRequest) { fr.Parts = 0 }},
+		{"float key", func(fr *fragmentRequest) { fr.KeyCol = "l_quantity" }},
+		{"unknown key", func(fr *fragmentRequest) { fr.KeyCol = "nope" }},
+		{"narrow out_schema", func(fr *fragmentRequest) { fr.Broadcast, fr.OutSchema = true, out[:1] }},
+		{"retyped out_schema", func(fr *fragmentRequest) {
+			fr.OutSchema = append(storage.Schema{{Name: "l_orderkey", Type: storage.F64}}, out[1:]...)
+		}},
+	}
+	for i, tc := range cases {
+		fr := fragmentRequest{
+			QID: fmt.Sprintf("bad%d", i), Kind: "stage", Name: "$x1", Plan: plan,
+			OutSchema: out, KeyCol: "l_orderkey", Parts: 16,
+		}
+		tc.edit(&fr)
+		body, err := json.Marshal(&fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(listeners[1].URL+"/exchange/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		}
+	}
+
+	resp, err := servers[1].Submit(context.Background(), &Request{SQL: "select count(*) as n from nation"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Rows) != 1 || resp.Rows[0][0].(int64) != 25 {
+		t.Fatalf("post-rejection query wrong: %+v", resp.Rows)
+	}
+	waitQueriesDrained(t, servers)
 }

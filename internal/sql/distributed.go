@@ -53,8 +53,8 @@ type ClusterTopo struct {
 // sends all rows to all nodes (the union is the complete build side); a
 // partition stage routes each row to exchange.OwnerOfKey(row[KeyCol],
 // Parts, nodes), landing build rows on the node that owns the matching
-// probe rows. Receivers accumulate the rows in an inbox table named
-// Name, which the downstream fragment scans like a base table.
+// probe rows. Receivers stream the rows from an inbox named Name into
+// the downstream fragment's scan of that name.
 type DistStage struct {
 	Name      string
 	Plan      []byte // engine.EncodePlan of the fragment
@@ -63,41 +63,27 @@ type DistStage struct {
 	KeyCol    string // partition stages: routing column of the output
 	Parts     int    // partition stages: probe table's partition count
 	Est       float64
-	// Streamable marks this exchange edge for streaming consumption: the
-	// receiving fragment ingests the stage's rows as frames arrive (a
-	// hash-join build fills incrementally) instead of waiting behind a
-	// stage barrier. The planner leaves it false only when the consumer
-	// semantically needs all input up front — sort, Materialize — which
-	// are shapes this planner rejects as not distributable, so every
-	// emitted stage is streamable today; the
-	// marking is carried anyway so the runtime and EXPLAIN stay honest
-	// if that changes.
-	Streamable bool
 }
 
 // DistPlan is a distributed execution plan: stages in dependency order,
 // then the main fragment on every node, then a gather to the
-// coordinator, which runs Final over the gathered rows.
+// coordinator, which runs Final over the gathered rows. Every exchange
+// edge streams: receivers ingest rows as frames arrive (a hash-join
+// build fills incrementally, the finalize aggregation merges partials as
+// they land), because every consumer this planner emits accepts
+// incremental input.
 type DistPlan struct {
 	Nodes      int
 	Stages     []*DistStage
 	Main       []byte // engine.EncodePlan of the per-node main fragment
 	MainName   string
 	MainSchema storage.Schema
-	// Final builds the coordinator plan over the gathered main-fragment
-	// outputs: the distributed aggregation's merge phase plus the
-	// original plan's post-aggregation operators, ORDER BY and LIMIT.
-	Final func(gathered *storage.Table) *engine.Plan
-	// FinalStream is Final's streaming twin: the coordinator plan scans
-	// the gather stream while main fragments are still shipping, so the
-	// finalize phase overlaps remote execution. Valid when
-	// GatherStreamable.
-	FinalStream func(src *engine.StreamSource) *engine.Plan
-	// GatherStreamable marks the gather edge streamable: the final
-	// plan's first operator over the gathered rows tolerates incremental
-	// input (aggregation merge, or a terminal sort applied at collect
-	// time after all pipelines drained).
-	GatherStreamable bool
+	// Final builds the coordinator plan over the gather stream: the
+	// distributed aggregation's merge phase plus the original plan's
+	// post-aggregation operators, ORDER BY and LIMIT. It scans the stream
+	// while main fragments are still shipping, so the finalize phase
+	// overlaps remote execution.
+	Final func(gather *engine.StreamSource) *engine.Plan
 	// TopK is the per-node row bound pushed into the main fragment when
 	// the query is ORDER BY + LIMIT without aggregation: each node sorts
 	// locally and ships at most TopK rows (engine.LimitZero for LIMIT
@@ -185,7 +171,7 @@ func Distribute(p *engine.Plan, topo ClusterTopo) (dp *DistPlan, err error) {
 	}
 
 	keys, limit := p.SortSpec()
-	dp = &DistPlan{Nodes: topo.Nodes, MainName: d.frag.Name, GatherStreamable: true}
+	dp = &DistPlan{Nodes: topo.Nodes, MainName: d.frag.Name}
 
 	if aggIdx < 0 {
 		// No aggregation: ship raw rows, sort/limit on the coordinator.
@@ -201,21 +187,13 @@ func Distribute(p *engine.Plan, topo ClusterTopo) (dp *DistPlan, err error) {
 		} else {
 			d.frag.Return(pp.f)
 		}
-		dp.MainSchema = toStorageSchema(pp.f.Schema())
+		dp.MainSchema = d.frag.OutSchema()
 		d.comb.ReturnSorted(
-			pp.c.Exchange(engine.ExchangeGather, nil, topo.Nodes).
-				MarkStreamed(true).SetEst(below.Est()),
+			pp.c.Exchange(engine.ExchangeGather, nil, topo.Nodes).SetEst(below.Est()),
 			limit, keys...)
-		cols := schemaSpecs(dp.MainSchema)
-		dp.Final = func(g *storage.Table) *engine.Plan {
+		dp.Final = func(src *engine.StreamSource) *engine.Plan {
 			fp := engine.NewPlan(p.Name + "$final")
-			fp.ReturnSorted(fp.Scan(g, cols...), limit, keys...)
-			return fp
-		}
-		dp.FinalStream = func(src *engine.StreamSource) *engine.Plan {
-			fp := engine.NewPlan(p.Name + "$final")
-			stub := &storage.Table{Name: "$gather", Schema: dp.MainSchema}
-			fp.ReturnSorted(fp.ScanStream(src, stub, cols...), limit, keys...)
+			fp.ReturnSorted(dp.scanGather(fp, src), limit, keys...)
 			return fp
 		}
 	} else {
@@ -225,33 +203,20 @@ func Distribute(p *engine.Plan, topo ClusterTopo) (dp *DistPlan, err error) {
 
 		fPart := pp.f.GroupBy(groups, split.partial).SetEst(aggNode.Est())
 		d.frag.Return(fPart)
-		dp.MainSchema = toStorageSchema(fPart.Schema())
+		dp.MainSchema = d.frag.OutSchema()
 
 		cPart := pp.c.GroupBy(groups, split.partial).SetEst(aggNode.Est())
 		cn := cPart.Exchange(engine.ExchangeGather, nil, topo.Nodes).
-			MarkStreamed(true).
 			SetEst(aggNode.Est() * float64(topo.Nodes))
 		cn = split.finalize(cn)
 		cn = replayAbove(cn, spine[:max(aggIdx, 0)])
 		d.comb.ReturnSorted(cn, limit, keys...)
 
 		above := spine[:aggIdx]
-		cols := schemaSpecs(dp.MainSchema)
-		dp.Final = func(g *storage.Table) *engine.Plan {
+		dp.Final = func(src *engine.StreamSource) *engine.Plan {
 			fp := engine.NewPlan(p.Name + "$final")
-			n := fp.Scan(g, cols...)
-			n = split.finalize(n)
-			n = replayAbove(n, above)
-			fp.ReturnSorted(n, limit, keys...)
-			return fp
-		}
-		dp.FinalStream = func(src *engine.StreamSource) *engine.Plan {
-			fp := engine.NewPlan(p.Name + "$final")
-			stub := &storage.Table{Name: "$gather", Schema: dp.MainSchema}
-			n := fp.ScanStream(src, stub, cols...)
-			n = split.finalize(n)
-			n = replayAbove(n, above)
-			fp.ReturnSorted(n, limit, keys...)
+			n := split.finalize(dp.scanGather(fp, src))
+			fp.ReturnSorted(replayAbove(n, above), limit, keys...)
 			return fp
 		}
 	}
@@ -264,6 +229,13 @@ func Distribute(p *engine.Plan, topo ClusterTopo) (dp *DistPlan, err error) {
 	dp.Stages = d.stages
 	dp.Combined = d.comb
 	return dp, nil
+}
+
+// scanGather opens a finalize plan with a scan of the gather stream,
+// typed by the main fragment's output schema.
+func (dp *DistPlan) scanGather(fp *engine.Plan, src *engine.StreamSource) *engine.Node {
+	stub := &storage.Table{Name: "$gather", Schema: dp.MainSchema}
+	return fp.ScanStream(src, stub, schemaSpecs(dp.MainSchema)...)
 }
 
 // aggSplit is a distributed aggregation: the partial phase runs inside
@@ -521,10 +493,6 @@ func (d *distributor) rebuildJoin(n *engine.Node) (pair, error) {
 		KeyCol:    routeKey,
 		Parts:     probe.parts,
 		Est:       build.Est(),
-		// The consumer is a hash-join build, which fills incrementally:
-		// this edge streams. (Barrier-requiring consumers — sort,
-		// Materialize — never reach here; rebuild rejects them.)
-		Streamable: true,
 	}
 	saved := d.frag
 	d.frag = engine.NewPlan(stage.Name)
@@ -544,10 +512,10 @@ func (d *distributor) rebuildJoin(n *engine.Node) (pair, error) {
 		return pair{}, fmt.Errorf("%w: %v", ErrNotDistributable, encErr)
 	}
 	stage.Plan = enc
-	stage.Schema = toStorageSchema(bp.f.Schema())
+	stage.Schema = saved.OutSchema()
 	d.stages = append(d.stages, stage)
 
-	// Fragment side: the build becomes a scan of the stage's inbox table.
+	// Fragment side: the build becomes a scan of the stage's inbox stream.
 	stub := &storage.Table{Name: stage.Name, Schema: stage.Schema}
 	inbox := d.frag.Scan(stub, schemaSpecs(stage.Schema)...).SetEst(build.Est())
 
@@ -556,7 +524,7 @@ func (d *distributor) rebuildJoin(n *engine.Node) (pair, error) {
 	if partition {
 		kind, keys = engine.ExchangePartition, []string{routeKey}
 	}
-	cx := bp.c.Exchange(kind, keys, d.topo.Nodes).MarkStreamed(true).SetEst(build.Est())
+	cx := bp.c.Exchange(kind, keys, d.topo.Nodes).SetEst(build.Est())
 	return join(probe, inbox, cx), nil
 }
 
@@ -647,14 +615,6 @@ func isIntCol(schema []engine.Reg, name string) bool {
 		}
 	}
 	return false
-}
-
-func toStorageSchema(regs []engine.Reg) storage.Schema {
-	s := make(storage.Schema, len(regs))
-	for i, r := range regs {
-		s[i] = storage.ColDef{Name: r.Name, Type: storageTypeOf(r.Type)}
-	}
-	return s
 }
 
 func schemaSpecs(s storage.Schema) []string {

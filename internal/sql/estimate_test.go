@@ -156,3 +156,39 @@ func TestFilteredJoinDomainNDV(t *testing.T) {
 		 WHERE o_custkey = c_custkey AND o_orderdate < DATE '1992-06-01' AND c_mktsegment = 'BUILDING'`,
 		"hashjoin semi on [o_custkey = c_custkey] est=379")
 }
+
+// TestUniqueKeyJoinEstimates: a join whose build keys cover the build
+// table's declared unique key is N:1 — every probe row meets at most one
+// build row — so its output is the probe side scaled by the fraction of
+// the build table kept. Per-column NDVs multiplied over a composite key
+// (lineitem ⨝ partsupp on the partsupp key) estimated ~2% of the actual
+// rows; a single-key FK join (lineitem ⨝ orders) already landed near the
+// actual and must stay there.
+func TestUniqueKeyJoinEstimates(t *testing.T) {
+	cat := tpchCatalog()
+	for _, c := range []struct {
+		label, query string
+		tol          float64 // allowed est/actual ratio, either way
+	}{
+		{"lineitem ⨝ partsupp", `SELECT l_orderkey, ps_supplycost FROM lineitem, partsupp
+			WHERE l_partkey = ps_partkey AND l_suppkey = ps_suppkey`, 2},
+		{"lineitem ⨝ orders", `SELECT l_orderkey, o_orderdate FROM lineitem, orders
+			WHERE l_orderkey = o_orderkey`, 1.05},
+	} {
+		p, err := Compile(c.query, cat)
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		ex := p.Explain()
+		join := findExplainNode(parseExplain(t, ex), "hashjoin inner")
+		if join == nil {
+			t.Fatalf("%s: no inner hash join:\n%s", c.label, ex)
+		}
+		res, _ := goldenSession().Run(p)
+		actual := float64(res.NumRows())
+		if ratio := max(join.est/actual, actual/join.est); ratio > c.tol {
+			t.Errorf("%s: est=%.0f, actual %.0f (off %.2f×, allowed %.2f×):\n%s",
+				c.label, join.est, actual, ratio, c.tol, ex)
+		}
+	}
+}

@@ -110,6 +110,17 @@ type subJoinSpec struct {
 
 	node     *engine.Node // pre-planned build (complex IN subqueries)
 	buildReg string       // its output register joined against
+
+	// onScan is the relation whose scan the join runs on (placeSubs);
+	// nil attaches it after the whole join chain.
+	onScan *baseTable
+}
+
+func (s *subJoinSpec) kind() engine.JoinKind {
+	if s.anti {
+		return engine.JoinAnti
+	}
+	return engine.JoinSemi
 }
 
 // outerSpec is a LEFT OUTER JOIN appendage. The preserved side is the
@@ -331,9 +342,12 @@ func (pl *planner) planNode(stmt *Select) (*engine.Node, []SelectItem, []string,
 			return nil, nil, nil, err
 		}
 	}
+	// A subquery join on a relation's scan reads its probe keys there:
+	// early references, not payload.
+	root := pl.placeSubs()
 	for _, s := range pl.subs {
 		for _, k := range s.probeKeys {
-			if err := pl.noteRefs(k, true); err != nil {
+			if err := pl.noteRefs(k, s.onScan == nil); err != nil {
 				return nil, nil, nil, err
 			}
 		}
@@ -358,7 +372,7 @@ func (pl *planner) planNode(stmt *Select) (*engine.Node, []SelectItem, []string,
 	pl.renameDuplicateColumns()
 
 	// ---- join order + build-side selection, then lower.
-	steps, root, err := pl.orderJoins()
+	steps, err := pl.orderJoins(root)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -1393,22 +1407,73 @@ func (pl *planner) analyzeOuterCounts(stmt *Select, items []SelectItem) error {
 	return nil
 }
 
-// orderJoins picks the probe root and the join order cost-based: the
-// relation with the largest estimated *post-filter* cardinality drives
-// the probe pipeline (morsel parallelism scales with probe size), and
-// builds attach greedily by smallest estimated join output, so the most
-// selective dimensions filter the chain first. Relations that can only
-// reach the chain through their pick are folded into its build subtree
-// (bushy dimension subtrees, matching the hand-built TPC-H plans).
-func (pl *planner) orderJoins() ([]*joinStep, *baseTable, error) {
-	if len(pl.inner) == 1 {
-		return nil, pl.inner[0], nil
-	}
+// probeRoot picks the relation with the largest estimated *post-filter*
+// cardinality to drive the probe pipeline (morsel parallelism scales
+// with probe size).
+func (pl *planner) probeRoot() *baseTable {
 	root := pl.inner[0]
 	for _, t := range pl.inner[1:] {
 		if pl.baseCard(t) > pl.baseCard(root) {
 			root = t
 		}
+	}
+	return root
+}
+
+// placeSubs puts each subquery semi/anti join whose probe keys all read
+// one inner relation T on T's scan, so the join filters T before T's own
+// joins and its selectivity counts in T's estimate (baseCard) — Q18's
+// IN (... HAVING ...) then shrinks the orders build instead of the
+// finished chain. A join with a residual, one over the probe root, and
+// one keyed on LEFT JOIN columns stay after the chain. It returns the
+// probe root, chosen with the placed joins' selectivity.
+func (pl *planner) placeSubs() *baseTable {
+	for _, s := range pl.subs {
+		s.onScan = pl.subOwner(s)
+	}
+	root := pl.probeRoot()
+	for _, s := range pl.subs {
+		if s.onScan == root {
+			s.onScan = nil
+			delete(pl.cardMemo, root)
+		}
+	}
+	return root
+}
+
+// subOwner returns the inner relation owning every probe-key column of a
+// residual-free subquery join, or nil.
+func (pl *planner) subOwner(s *subJoinSpec) *baseTable {
+	if len(s.residual) > 0 {
+		return nil
+	}
+	var owner *baseTable
+	mixed := false
+	for _, k := range s.probeKeys {
+		walk(k, func(x Expr) {
+			if c, ok := x.(*Col); ok {
+				t, _, err := pl.sc.resolveUp(c)
+				if err != nil || (owner != nil && t != owner) {
+					mixed = true
+				}
+				owner = t
+			}
+		})
+	}
+	if mixed || !slices.Contains(pl.inner, owner) {
+		return nil
+	}
+	return owner
+}
+
+// orderJoins picks the join order cost-based: builds attach to the probe
+// root greedily by smallest estimated join output, so the most selective
+// dimensions filter the chain first. Relations that can only reach the
+// chain through their pick are folded into its build subtree (bushy
+// dimension subtrees, matching the hand-built TPC-H plans).
+func (pl *planner) orderJoins(root *baseTable) ([]*joinStep, error) {
+	if len(pl.inner) == 1 {
+		return nil, nil
 	}
 	chain := map[*baseTable]bool{root: true}
 	avail := map[*baseTable]bool{}
@@ -1421,7 +1486,7 @@ func (pl *planner) orderJoins() ([]*joinStep, *baseTable, error) {
 	steps := pl.attach(chain, avail, &chainCard)
 	for _, t := range pl.inner {
 		if avail[t] {
-			return nil, nil, &ParseError{
+			return nil, &ParseError{
 				Msg:  fmt.Sprintf("table %q is not connected to the rest of the query by any equality join predicate (cross joins are not supported)", t.alias),
 				Line: t.ref.Line, Col: t.ref.Col,
 			}
@@ -1433,11 +1498,11 @@ func (pl *planner) orderJoins() ([]*joinStep, *baseTable, error) {
 		if !e.used {
 			pl.residual = append(pl.residual, e.conj)
 			if err := pl.noteRefs(e.conj, true); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 	}
-	return steps, root, nil
+	return steps, nil
 }
 
 // attach greedily joins available relations into the chain whose current
@@ -1669,8 +1734,9 @@ func bindAll(bd *binder, preds []Expr) (*engine.Expr, error) {
 }
 
 // lowerScan emits the pruned, filtered scan of t, annotated with its
-// estimated post-filter cardinality. A derived table's "scan" is its
-// pre-lowered subquery fragment.
+// estimated post-filter cardinality, followed by the subquery joins
+// placed on it. A derived table's "scan" is its pre-lowered subquery
+// fragment.
 func (pl *planner) lowerScan(ep *engine.Plan, t *baseTable, bd *binder) (*engine.Node, error) {
 	var n *engine.Node
 	if t.derived != nil {
@@ -1697,7 +1763,15 @@ func (pl *planner) lowerScan(ep *engine.Plan, t *baseTable, bd *binder) (*engine
 	if pred != nil {
 		n = n.Filter(pred)
 	}
-	return n.SetEst(pl.baseCard(t)), nil
+	n.SetEst(estFilteredCard(t, pl.local[t]))
+	for _, s := range pl.subs {
+		if s.onScan == t {
+			if n, err = pl.lowerSub(ep, n, s); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return n, nil
 }
 
 // treePayload lists the build columns a subtree's output must carry into
@@ -1867,6 +1941,9 @@ func (pl *planner) lowerChain(ep *engine.Plan, root *baseTable, steps []*joinSte
 		}
 	}
 	for _, s := range pl.subs {
+		if s.onScan != nil {
+			continue // lowered on its relation's scan
+		}
 		n, err = pl.lowerSub(ep, n, s)
 		if err != nil {
 			return nil, err
@@ -2078,13 +2155,8 @@ func (pl *planner) lowerSub(ep *engine.Plan, n *engine.Node, s *subJoinSpec) (*e
 		if err != nil {
 			return nil, err
 		}
-		kind := engine.JoinSemi
-		if s.anti {
-			kind = engine.JoinAnti
-		}
-		est := pl.generalInCard(n.Est(), s.node.Est(), s.probeKeys[0], s.anti)
-		return n.HashJoin(s.node, kind,
-			[]*engine.Expr{probe}, []*engine.Expr{engine.Col(s.buildReg)}).SetEst(est), nil
+		return n.HashJoin(s.node, s.kind(),
+			[]*engine.Expr{probe}, []*engine.Expr{engine.Col(s.buildReg)}).SetEst(pl.subJoinCard(n.Est(), s)), nil
 	}
 	// The build scan needs key, filter and residual columns.
 	refs := map[string]bool{}
@@ -2164,8 +2236,7 @@ func (pl *planner) lowerSub(ep *engine.Plan, n *engine.Node, s *subJoinSpec) (*e
 	if pred != nil {
 		build = build.Filter(pred)
 	}
-	buildEst := estFilteredCard(s.t, s.local)
-	build.SetEst(buildEst)
+	build.SetEst(estFilteredCard(s.t, s.local))
 	outerBd := &binder{sc: pl.sc}
 	probe := make([]*engine.Expr, len(s.probeKeys))
 	bkeys := make([]*engine.Expr, len(s.buildKeys))
@@ -2177,17 +2248,7 @@ func (pl *planner) lowerSub(ep *engine.Plan, n *engine.Node, s *subJoinSpec) (*e
 			return nil, err
 		}
 	}
-	kind := engine.JoinSemi
-	if s.anti {
-		kind = engine.JoinAnti
-	}
-	est := pl.joinCardScoped(n.Est(), buildEst, s.probeKeys, s.buildKeys, s.sc, kind)
-	if len(s.residual) > 0 && !s.anti {
-		for range s.residual {
-			est = max(est*selDefault, 1)
-		}
-	}
-	n = n.HashJoin(build, kind, probe, bkeys).SetEst(est)
+	n = n.HashJoin(build, s.kind(), probe, bkeys).SetEst(pl.subJoinCard(n.Est(), s))
 	if len(s.residual) > 0 {
 		pay := make([]string, 0, len(s.resPay))
 		for c := range s.resPay {

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/tpch"
 )
 
 // The plan-shape regression tests pin the cost-based optimizer's
@@ -133,6 +135,57 @@ func TestPlanShapeTPCH(t *testing.T) {
 	}
 }
 
+// TestPlanShapeSelectiveFirst pins where the two most selective joins of
+// Q9 and Q18 run. Q9's part semi join (p_name LIKE '%green%') probes the
+// lineitem scan directly, ahead of the N:1 partsupp join. Q18's IN
+// (... HAVING ...) semi join probes the orders scan inside the orders
+// build, and the estimates above it carry its selectivity.
+func TestPlanShapeSelectiveFirst(t *testing.T) {
+	cat := tpchCatalog()
+	compile := func(q int) (*explainNode, string) {
+		p, err := Compile(tpch.MustSQLText(q, tpchDB.Cfg.SF), cat)
+		if err != nil {
+			t.Fatalf("Q%d: %v", q, err)
+		}
+		ex := p.Explain()
+		return parseExplain(t, ex), ex
+	}
+
+	root, ex := compile(9)
+	semi := findExplainNode(root, "hashjoin semi on [l_partkey = p_partkey]")
+	if semi == nil || !strings.HasPrefix(semi.children[0].text, "scan(lineitem)") {
+		t.Fatalf("Q9: the part semi join does not probe scan(lineitem):\n%s", ex)
+	}
+
+	root, ex = compile(18)
+	top := findExplainNode(root, "hashjoin inner on [l_orderkey = o_orderkey]")
+	if top == nil || !strings.HasPrefix(top.children[0].text, "scan(lineitem)") {
+		t.Fatalf("Q18: lineitem does not drive the orders join:\n%s", ex)
+	}
+	build := top.children[1]
+	semi = findExplainNode(build, "hashjoin semi on [o_orderkey = l_orderkey]")
+	if semi == nil || !strings.HasPrefix(semi.children[0].text, "scan(orders)") {
+		t.Fatalf("Q18: the IN semi join does not probe scan(orders) inside the orders build:\n%s", ex)
+	}
+	if build.est != semi.est || top.est >= drivingScan(top).est {
+		t.Fatalf("Q18: estimates above the IN semi join (est=%.0f) ignore it:\n%s", semi.est, ex)
+	}
+}
+
+// findExplainNode returns the first node, in pre-order, whose text
+// starts with prefix.
+func findExplainNode(n *explainNode, prefix string) *explainNode {
+	if strings.HasPrefix(n.text, prefix) {
+		return n
+	}
+	for _, c := range n.children {
+		if f := findExplainNode(c, prefix); f != nil {
+			return f
+		}
+	}
+	return nil
+}
+
 func TestPlanShapeSSB(t *testing.T) {
 	cat := ssbCatalog()
 	for _, q := range []struct {
@@ -157,22 +210,25 @@ func TestPlanShapeSSB(t *testing.T) {
 			"└─ scan(date)",
 		}},
 		{"3.1", sqlSSB31, []string{
+			// Both region filters keep a fifth of their unique-key
+			// dimension, so the two joins tie; the smaller build goes first.
 			"hashjoin inner on [lo_orderdate = d_datekey]",
-			"hashjoin inner on [lo_suppkey = s_suppkey]",
 			"hashjoin inner on [lo_custkey = c_custkey]",
+			"hashjoin inner on [lo_suppkey = s_suppkey]",
 			"├─ scan(lineorder)",
-			"└─ scan(customer)",
 			"└─ scan(supplier)",
+			"└─ scan(customer)",
 			"└─ scan(date)",
 		}},
 		{"4.1", sqlSSB41, []string{
+			// The same customer / supplier tie as 3.1.
 			"hashjoin inner on [lo_orderdate = d_datekey]",
 			"hashjoin semi on [lo_partkey = p_partkey]",
-			"hashjoin semi on [lo_suppkey = s_suppkey]",
 			"hashjoin inner on [lo_custkey = c_custkey]",
+			"hashjoin semi on [lo_suppkey = s_suppkey]",
 			"├─ scan(lineorder)",
-			"└─ scan(customer)",
 			"└─ scan(supplier)",
+			"└─ scan(customer)",
 			"└─ scan(part)",
 			"└─ scan(date)",
 		}},

@@ -242,6 +242,37 @@ func TestInListAndInSubquery(t *testing.T) {
 	expectRows(t, d, false, "24")
 }
 
+// TestSubqueryJoinOnBuildScan: an IN / NOT IN subquery keyed on a column
+// of a relation other than the probe root (dept, built under the emp
+// probe) runs on that relation's scan inside its build, with the same
+// rows as filtering after the join.
+func TestSubqueryJoinOnBuildScan(t *testing.T) {
+	cat := testCatalog()
+	for _, c := range []struct {
+		query, join string
+		want        []string
+	}{
+		{`SELECT dname, COUNT(*) AS n FROM emp, dept WHERE dept = did
+			AND did IN (SELECT dept FROM emp WHERE id < 3) GROUP BY dname`,
+			"hashjoin semi on [did = dept]", []string{"eng | 8", "ops | 8", "sales | 8"}},
+		{`SELECT dname, COUNT(*) AS n FROM emp, dept WHERE dept = did
+			AND did NOT IN (SELECT dept FROM emp WHERE id < 3) GROUP BY dname`,
+			"hashjoin anti on [did = dept]", []string{"hr | 8", "legal | 8"}},
+	} {
+		p, err := Compile(c.query, cat)
+		if err != nil {
+			t.Fatalf("compile %q: %v", c.query, err)
+		}
+		ex := p.Explain()
+		if j := findExplainNode(parseExplain(t, ex), c.join); j == nil ||
+			!strings.HasPrefix(j.children[0].text, "scan(dept)") {
+			t.Fatalf("%s does not probe scan(dept):\n%s", c.join, ex)
+		}
+		res, _ := testSession().Run(p)
+		expectRows(t, res, false, c.want...)
+	}
+}
+
 func TestLeftJoin(t *testing.T) {
 	cat := testCatalog()
 	// Restrict the build side so some probe rows have no match; the

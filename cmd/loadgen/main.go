@@ -1,13 +1,15 @@
 // Command loadgen is a closed-loop load generator for morseld: each
-// client keeps exactly one query in flight, interactive clients fire
+// client keeps exactly one SQL query in flight, interactive clients fire
 // cheap high-priority queries while batch clients grind heavy rollups,
 // and the report shows throughput and latency percentiles per priority
 // class — the elasticity experiment of the paper's Fig. 13, measured
-// through the network API.
+// through the network API. Every request is compiled (or served from the
+// plan cache) by the server's SQL front end.
 //
 // Usage:
 //
 //	loadgen -addr http://localhost:8080 -clients 8 -mix 0.5 -duration 10s
+//	loadgen -prepared   # ? placeholders + rotating params; gates on a >90% plan-cache hit rate
 //
 // Against a morseld cluster, -distributed adds {"distributed": true} to
 // every request, and -cluster-smoke runs the two-node parity check CI
@@ -17,8 +19,7 @@
 //
 //	loadgen -cluster-smoke http://localhost:8081,http://localhost:8082 -sf 0.05
 //
-// With -sql the clients send SQL text instead of prepared-plan names;
-// -agg shared|partitioned adds that aggregation strategy to every SQL
+// -agg shared|partitioned adds that aggregation strategy to every
 // request (empty = the server's default).
 //
 // With -bench-json, the closed-loop report is also written as a
@@ -60,7 +61,7 @@ type result struct {
 }
 
 // defaultBatchExtras rotates the newer SQL surface through the batch
-// class in -sql mode against the demo schema: an uncorrelated scalar
+// class against the demo schema: an uncorrelated scalar
 // subquery (k=1 cross-join attach), a NOT EXISTS anti join, and a LEFT
 // JOIN whose COUNT must not count null-extended rows (build-side mark
 // join when customers is the smaller side).
@@ -74,18 +75,15 @@ func main() {
 		clients     = flag.Int("clients", 8, "concurrent closed-loop clients")
 		mix         = flag.Float64("mix", 0.5, "fraction of clients issuing interactive queries")
 		duration    = flag.Duration("duration", 10*time.Second, "run length")
-		interactive = flag.String("interactive-query", "count-recent", "prepared plan for interactive clients")
-		batch       = flag.String("batch-query", "revenue-by-kind", "prepared plan for batch clients")
-		sqlMode     = flag.Bool("sql", false, "send SQL text instead of prepared plan names, exercising the parser -> optimizer -> execution path per request")
-		intSQL      = flag.String("interactive-sql", "SELECT COUNT(*) AS n FROM orders WHERE day < 7", "SQL for interactive clients (with -sql)")
-		batchSQL    = flag.String("batch-sql", "SELECT region, COUNT(*) AS n, SUM(amount) AS revenue FROM orders, customers WHERE cust = cid GROUP BY region ORDER BY revenue DESC", "SQL for batch clients (with -sql)")
-		batchExtras = flag.String("batch-extra-sql", defaultBatchExtras, "extra ;-separated SQL rotated across batch clients with -sql (empty disables); defaults exercise scalar subqueries, NOT EXISTS anti joins and LEFT JOIN count semantics")
-		preparedSQL = flag.Bool("prepared", false, "with -sql: send parameterized statements (? placeholders + rotating params) so requests hit the server's plan cache; verifies >90% hit rate and result parity with the unprepared path")
-		intPSQL     = flag.String("interactive-prepared-sql", "SELECT COUNT(*) AS n FROM orders WHERE day < ?", "parameterized SQL for interactive clients (with -sql -prepared)")
+		intSQL      = flag.String("interactive-sql", "SELECT COUNT(*) AS n FROM orders WHERE day < 7", "SQL for interactive clients")
+		batchSQL    = flag.String("batch-sql", "SELECT region, COUNT(*) AS n, SUM(amount) AS revenue FROM orders, customers WHERE cust = cid GROUP BY region ORDER BY revenue DESC", "SQL for batch clients")
+		batchExtras = flag.String("batch-extra-sql", defaultBatchExtras, "extra ;-separated SQL rotated across batch clients (empty disables); defaults exercise scalar subqueries, NOT EXISTS anti joins and LEFT JOIN count semantics")
+		preparedSQL = flag.Bool("prepared", false, "send parameterized statements (? placeholders + rotating params) so requests hit the server's plan cache; verifies >90% hit rate and result parity with the unprepared path")
+		intPSQL     = flag.String("interactive-prepared-sql", "SELECT COUNT(*) AS n FROM orders WHERE day < ?", "parameterized SQL for interactive clients (with -prepared)")
 		intParams   = flag.String("interactive-params", "[[7], [14], [30]]", "JSON array of param sets rotated across interactive requests")
-		batchPSQL   = flag.String("batch-prepared-sql", "SELECT region, COUNT(*) AS n, SUM(amount) AS revenue FROM orders, customers WHERE cust = cid AND amount < ? GROUP BY region ORDER BY revenue DESC", "parameterized SQL for batch clients (with -sql -prepared)")
+		batchPSQL   = flag.String("batch-prepared-sql", "SELECT region, COUNT(*) AS n, SUM(amount) AS revenue FROM orders, customers WHERE cust = cid AND amount < ? GROUP BY region ORDER BY revenue DESC", "parameterized SQL for batch clients (with -prepared)")
 		batchParams = flag.String("batch-params", "[[2500], [5000], [9000]]", "JSON array of param sets rotated across batch requests")
-		physAgg     = flag.String("agg", "", "with -sql: aggregation strategy sent per request: auto | shared | partitioned (empty = server default)")
+		physAgg     = flag.String("agg", "", "aggregation strategy sent per request: auto | shared | partitioned (empty = server default)")
 		timeoutMs   = flag.Int("timeout-ms", 0, "per-query timeout (0 = server default)")
 		distributed = flag.Bool("distributed", false, "request distributed execution across the morseld cluster for every query")
 		ingestMode  = flag.Bool("ingest", false, "stream deterministic batches into the demo orders table over POST /append while readers verify count/version consistency, then exit (nonzero on any violation)")
@@ -97,9 +95,6 @@ func main() {
 		benchJSON   = flag.Bool("bench-json", false, "also write the report as BENCH_loadgen.json into $BENCH_OUT (or the cwd)")
 	)
 	flag.Parse()
-	if *preparedSQL && !*sqlMode {
-		log.Fatal("-prepared requires -sql")
-	}
 
 	if *smoke != "" {
 		if err := clusterSmoke(strings.Split(*smoke, ","), *sfFlag, *timeoutMs); err != nil {
@@ -121,12 +116,9 @@ func main() {
 	}
 
 	nInteractive := int(float64(*clients) * *mix)
-	mode := "prepared plans"
-	if *sqlMode {
-		mode = "SQL (compiled per request)"
-		if *preparedSQL {
-			mode = "parameterized SQL (server plan cache)"
-		}
+	mode := "SQL"
+	if *preparedSQL {
+		mode = "parameterized SQL"
 	}
 	log.Printf("running %d clients (%d interactive, %d batch, %s) for %v against %s",
 		*clients, nInteractive, *clients-nInteractive, mode, *duration, *addr)
@@ -159,27 +151,21 @@ func main() {
 	buildWork := func(class string) []work {
 		var items []work
 		add := func(q string, params []any) {
-			req := map[string]any{"priority": class, "timeout_ms": *timeoutMs}
+			req := map[string]any{"sql": q, "priority": class, "timeout_ms": *timeoutMs}
 			if *distributed {
 				req["distributed"] = true
 			}
-			if *sqlMode {
-				req["sql"] = q
-				if params != nil {
-					req["params"] = params
-				}
-				if *physAgg != "" {
-					req["agg"] = *physAgg
-				}
-			} else {
-				req["prepared"] = q
+			if params != nil {
+				req["params"] = params
+			}
+			if *physAgg != "" {
+				req["agg"] = *physAgg
 			}
 			body, _ := json.Marshal(req)
 			key, _ := json.Marshal([]any{q, params, *physAgg})
 			items = append(items, work{key: string(key), body: body})
 		}
-		switch {
-		case *sqlMode && *preparedSQL:
+		if *preparedSQL {
 			q, sets := *intPSQL, *intParams
 			if class == "batch" {
 				q, sets = *batchPSQL, *batchParams
@@ -187,25 +173,19 @@ func main() {
 			for _, ps := range parseSets(sets) {
 				add(q, ps)
 			}
-		case *sqlMode:
-			q := *intSQL
-			if class == "batch" {
-				q = *batchSQL
-			}
-			add(q, nil)
-			if class == "batch" {
-				for _, extra := range strings.Split(*batchExtras, ";") {
-					if extra = strings.TrimSpace(extra); extra != "" {
-						add(extra, nil)
-					}
+			return items
+		}
+		q := *intSQL
+		if class == "batch" {
+			q = *batchSQL
+		}
+		add(q, nil)
+		if class == "batch" {
+			for _, extra := range strings.Split(*batchExtras, ";") {
+				if extra = strings.TrimSpace(extra); extra != "" {
+					add(extra, nil)
 				}
 			}
-		default:
-			q := *interactive
-			if class == "batch" {
-				q = *batch
-			}
-			add(q, nil)
 		}
 		return items
 	}

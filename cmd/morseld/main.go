@@ -1,11 +1,13 @@
 // Command morseld is the morsel-driven query daemon: it loads a demo
-// star schema (an orders fact table and a customers dimension), registers
-// prepared plans, and serves the concurrent query API over HTTP. Many
-// clients share one dispatcher and worker pool, so concurrent queries
-// share workers at morsel granularity with priority-weighted elasticity.
-// SQL requests compile through the cost-based optimizer and are cached
-// in a server-side plan cache keyed by SQL text; ? placeholders bind
-// per execution ({"sql": ..., "params": [...]}).
+// star schema (an orders fact table and a customers dimension) or TPC-H,
+// and serves the concurrent query API over HTTP. Many clients share one
+// dispatcher and worker pool, so concurrent queries share workers at
+// morsel granularity with priority-weighted elasticity. Every query is
+// SQL text ({"sql": ..., "params": [...]}): it compiles through the
+// cost-based optimizer into a server-side plan cache keyed by SQL text,
+// and ? placeholders bind per execution:
+//
+//	curl -s localhost:8080/query -d '{"sql": "SELECT COUNT(*) AS n FROM orders WHERE day < ?", "params": [7]}'
 //
 // Usage:
 //
@@ -37,8 +39,9 @@
 //	morseld -addr :8081 -dataset tpch -sf 0.05 -cluster http://localhost:8081,http://localhost:8082 -node-id 0
 //	morseld -addr :8082 -dataset tpch -sf 0.05 -cluster http://localhost:8081,http://localhost:8082 -node-id 1
 //
-// Endpoints: POST /query, GET /stats, GET /tables, GET /healthz, and —
-// on clustered nodes — the peer-to-peer POST /exchange/{run,push,done}.
+// Endpoints: POST /query, POST /append, POST /snapshot, GET /stats,
+// GET /tables, GET /healthz, and — on clustered nodes — the peer-to-peer
+// POST /exchange/{run,push,done}.
 package main
 
 import (
@@ -213,9 +216,6 @@ func main() {
 	if *dataDir != "" {
 		srv.EnableSnapshots(*dataDir, label, colstore.Options{})
 	}
-	if *dataset == "demo" {
-		prepare(srv, tableByName(tables, "orders"), tableByName(tables, "customers"))
-	}
 
 	if *cluster != "" {
 		cl, err := exchange.ParseCluster(*nodeID, *cluster)
@@ -300,16 +300,6 @@ func applySort(tables []*core.Table, spec string, sockets int) {
 	log.Fatalf("-sort: no table %q in dataset", name)
 }
 
-func tableByName(tables []*core.Table, name string) *core.Table {
-	for _, t := range tables {
-		if t.Name == name {
-			return t
-		}
-	}
-	log.Fatalf("table %q missing from dataset", name)
-	return nil
-}
-
 // runTPCHQueries executes TPC-H queries from the SQL dialect ("all" or
 // one number) and prints each result, for snapshot parity checks.
 func runTPCHQueries(sys *core.System, spec string, sf float64, ph sql.Physical, tables []*core.Table) error {
@@ -390,46 +380,6 @@ func loadDemo(sys *core.System, orderRows, customerRows int) (*core.Table, *core
 		cb.Append(core.Row{int64(i), fmt.Sprintf("cust-%06d", i), regions[i%len(regions)]})
 	}
 	return orders, sys.Register(cb)
-}
-
-// prepare registers the daemon's named plans: two cheap interactive
-// lookups and two heavy batch rollups.
-func prepare(srv *server.Server, orders, customers *core.Table) {
-	{ // interactive: single-group count over a selective filter
-		p := core.NewPlan("count-recent")
-		p.Return(p.Scan(orders, "day").
-			Filter(core.Lt(core.Col("day"), core.ConstI(7))).
-			GroupBy(nil, []core.AggDef{core.Count("n")}))
-		srv.Prepare("count-recent", p)
-	}
-	{ // interactive: top days by revenue for one kind
-		p := core.NewPlan("kind0-by-day")
-		p.ReturnSorted(p.Scan(orders, "kind", "amount", "day").
-			Filter(core.Eq(core.Col("kind"), core.ConstI(0))).
-			GroupBy([]core.NamedExpr{core.N("day", core.Col("day"))},
-				[]core.AggDef{core.Sum("revenue", core.Col("amount"))}),
-			10, core.Desc("revenue"))
-		srv.Prepare("kind0-by-day", p)
-	}
-	{ // batch: full rollup by kind
-		p := core.NewPlan("revenue-by-kind")
-		p.ReturnSorted(p.Scan(orders, "kind", "amount").
-			GroupBy([]core.NamedExpr{core.N("kind", core.Col("kind"))},
-				[]core.AggDef{core.Count("n"), core.Sum("revenue", core.Col("amount")), core.Avg("avg", core.Col("amount"))}),
-			0, core.Asc("kind"))
-		srv.Prepare("revenue-by-kind", p)
-	}
-	{ // batch: join + rollup by region
-		p := core.NewPlan("revenue-by-region")
-		build := p.Scan(customers, "cid", "region")
-		p.ReturnSorted(p.Scan(orders, "cust", "amount").
-			HashJoin(build, core.JoinInner,
-				[]*core.Expr{core.Col("cust")}, []*core.Expr{core.Col("cid")}, "region").
-			GroupBy([]core.NamedExpr{core.N("region", core.Col("region"))},
-				[]core.AggDef{core.Sum("revenue", core.Col("amount")), core.Count("n")}),
-			0, core.Desc("revenue"))
-		srv.Prepare("revenue-by-region", p)
-	}
 }
 
 // runSQL is the one-shot SQL entry point: parse, bind, cost-optimize,

@@ -39,19 +39,12 @@ func main() {
 	defer srv.Close()
 	srv.RegisterTable(events)
 
-	heavy := core.NewPlan("heavy-report")
-	heavy.ReturnSorted(heavy.Scan(events, "kind", "v").
-		Map("w", core.Mul(core.Col("v"), core.Col("v"))).
-		GroupBy([]core.NamedExpr{core.N("kind", core.Col("kind"))},
-			[]core.AggDef{core.Count("n"), core.Sum("sum_v", core.Col("v")), core.Sum("sum_w", core.Col("w"))}),
-		0, core.Asc("kind"))
-	srv.Prepare("heavy-report", heavy)
-
-	quick := core.NewPlan("quick-lookup")
-	quick.Return(quick.Scan(events, "id", "v").
-		Filter(core.Lt(core.Col("id"), core.ConstI(150_000))).
-		GroupBy(nil, []core.AggDef{core.MaxOf("max_v", core.Col("v"))}))
-	srv.Prepare("quick-lookup", quick)
+	// The two statements the clients send: a full-table rollup and a
+	// selective lookup. The server compiles each once into its plan cache.
+	const (
+		heavyReport = "SELECT kind, COUNT(*) AS n, SUM(v) AS sum_v, SUM(v * v) AS sum_w FROM events GROUP BY kind ORDER BY kind"
+		quickLookup = "SELECT MAX(v) AS max_v FROM events WHERE id < 150000"
+	)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -73,14 +66,14 @@ func main() {
 	deadline := time.Now().Add(2 * time.Second)
 	var wg sync.WaitGroup
 	for c := 0; c < 8; c++ {
-		class, query := "batch", "heavy-report"
+		class, query := "batch", heavyReport
 		if c < 2 {
-			class, query = "interactive", "quick-lookup"
+			class, query = "interactive", quickLookup
 		}
 		wg.Add(1)
 		go func(class, query string) {
 			defer wg.Done()
-			body, _ := json.Marshal(map[string]any{"prepared": query, "priority": class})
+			body, _ := json.Marshal(map[string]any{"sql": query, "priority": class})
 			for time.Now().Before(deadline) {
 				start := time.Now()
 				resp, err := http.Post(base+"/query", "application/json", bytes.NewReader(body))

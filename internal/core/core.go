@@ -1,7 +1,8 @@
 // Package core is the public face of the morsel-driven query evaluation
 // framework: it bundles a simulated NUMA machine, a scheduling
 // configuration, and the query engine into a System, and re-exports the
-// plan-building vocabulary so applications only import one package.
+// core of the plan-building vocabulary so simple applications only import
+// one package.
 //
 // Quick start:
 //
@@ -88,52 +89,29 @@ type (
 
 // Join kinds.
 const (
-	JoinInner      = engine.JoinInner
-	JoinSemi       = engine.JoinSemi
-	JoinAnti       = engine.JoinAnti
-	JoinMark       = engine.JoinMark
-	JoinOuterProbe = engine.JoinOuterProbe
+	JoinInner = engine.JoinInner
+	JoinSemi  = engine.JoinSemi
 )
 
-// Plan building vocabulary.
+// Plan building vocabulary. Richer expressions come from SQL
+// (internal/sql) or from the engine package's full builder API.
 var (
-	NewPlan   = engine.NewPlan
-	Col       = engine.Col
-	ConstI    = engine.ConstI
-	ConstF    = engine.ConstF
-	ConstS    = engine.ConstS
-	ConstDate = engine.ConstDate
-	Add       = engine.Add
-	Sub       = engine.Sub
-	Mul       = engine.Mul
-	Div       = engine.Div
-	Eq        = engine.Eq
-	Ne        = engine.Ne
-	Lt        = engine.Lt
-	Le        = engine.Le
-	Gt        = engine.Gt
-	Ge        = engine.Ge
-	Between   = engine.Between
-	And       = engine.And
-	Or        = engine.Or
-	Not       = engine.Not
-	InInt     = engine.InInt
-	InStr     = engine.InStr
-	Like      = engine.Like
-	NotLike   = engine.NotLike
-	If        = engine.If
-	Year      = engine.Year
-	Substr    = engine.Substr
-	ToFloat   = engine.ToFloat
-	N         = engine.N
-	Sum       = engine.Sum
-	Count     = engine.Count
-	MinOf     = engine.MinOf
-	MaxOf     = engine.MaxOf
-	Avg       = engine.Avg
-	Asc       = engine.Asc
-	Desc      = engine.Desc
-	ParseDate = engine.ParseDate
+	NewPlan = engine.NewPlan
+	Col     = engine.Col
+	ConstI  = engine.ConstI
+	ConstF  = engine.ConstF
+	ConstS  = engine.ConstS
+	Mul     = engine.Mul
+	Eq      = engine.Eq
+	Lt      = engine.Lt
+	Gt      = engine.Gt
+	N       = engine.N
+	Sum     = engine.Sum
+	Count   = engine.Count
+	MaxOf   = engine.MaxOf
+	Avg     = engine.Avg
+	Asc     = engine.Asc
+	Desc    = engine.Desc
 )
 
 // NewTableBuilder creates a hash-partitioned table builder (nparts

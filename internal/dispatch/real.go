@@ -167,11 +167,22 @@ func (r *RealRunner) loop(w *Worker) {
 			Job: task.Job.Name, StartNs: start, EndNs: w.Tracker.VTime(),
 		})
 		w.doneQuery(task.Job.Query)
+		// Fold the morsel's counters before Complete: Complete may close
+		// the query's Done, and a reader woken by it must see this morsel.
+		prev = r.fold(w, prev)
 		r.D.Complete(w, task)
-		// Snapshot after Complete: job Finalize hooks and successor
-		// Setup run there on this worker and charge its tracker.
-		cur := w.Tracker.Stats()
-		r.counters.add(cur.Sub(prev))
-		prev = cur
+		// Job Finalize hooks and successor Setup run inside Complete on
+		// this worker and may charge its tracker again.
+		prev = r.fold(w, prev)
 	}
+}
+
+// fold adds the worker's tracker delta since prev to the pool counters
+// (nothing when the tracker has not moved) and returns the new baseline.
+func (r *RealRunner) fold(w *Worker, prev numa.Stats) numa.Stats {
+	cur := w.Tracker.Stats()
+	if cur != prev {
+		r.counters.add(cur.Sub(prev))
+	}
+	return cur
 }

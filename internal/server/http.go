@@ -12,10 +12,10 @@ const maxBodyBytes = 1 << 20
 
 // Handler returns the server's HTTP API:
 //
-//	POST /query          — run a prepared plan, inline DSL plan, or SQL
+//	POST /query          — run one SQL statement ({"sql": ...}; see Request)
 //	POST /append         — append a row batch to a table's delta
 //	GET  /stats          — dispatcher / admission / pool / per-class counters
-//	GET  /tables         — registered tables and prepared plan names
+//	GET  /tables         — registered tables with row counts and columns
 //	GET  /healthz        — liveness
 //	POST /snapshot       — seal registered tables into the snapshot directory
 //	POST /exchange/run   — peer-to-peer: execute a distributed fragment
@@ -76,8 +76,6 @@ func statusOf(err error, ctx context.Context) int {
 	switch {
 	case errors.As(err, &bad):
 		return http.StatusBadRequest
-	case errors.Is(err, ErrUnknownPrepared):
-		return http.StatusNotFound
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrClosed):
@@ -95,11 +93,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleTables(w http.ResponseWriter, _ *http.Request) {
-	tables, prepared := s.Tables()
 	writeJSON(w, http.StatusOK, struct {
-		Tables   []TableInfo `json:"tables"`
-		Prepared []string    `json:"prepared"`
-	}{Tables: tables, Prepared: prepared})
+		Tables []TableInfo `json:"tables"`
+	}{Tables: s.Tables()})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

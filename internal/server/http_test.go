@@ -34,46 +34,29 @@ func postQuery(t *testing.T, ts *httptest.Server, body string) (*http.Response, 
 	return resp, decoded
 }
 
+// TestHTTPQueryPrepared posts a parameterized statement: the reply
+// carries the class and timing, and a second post with other params is
+// served from the plan cache.
 func TestHTTPQueryPrepared(t *testing.T) {
-	_, ts := newHTTPServer(t)
-	resp, body := postQuery(t, ts, `{"prepared": "revenue-by-kind", "priority": "batch"}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %v", resp.StatusCode, body)
-	}
-	if body["query"] != "revenue-by-kind" || body["class"] != "batch" {
-		t.Errorf("query/class = %v/%v", body["query"], body["class"])
-	}
-	if n := body["row_count"].(float64); n != 7 {
-		t.Errorf("row_count = %v, want 7", n)
-	}
-	if elapsed := body["elapsed_ms"].(float64); elapsed <= 0 {
-		t.Errorf("elapsed_ms = %v", elapsed)
-	}
-}
-
-func TestHTTPQueryInlinePlan(t *testing.T) {
-	_, ts := newHTTPServer(t)
-	resp, body := postQuery(t, ts, `{
-	  "plan": {
-	    "from": "orders",
-	    "columns": ["kind", "amount"],
-	    "where": {"op": "in", "args": [{"col": "kind"}, {"int": 1}, {"int": 3}]},
-	    "group_by": [{"name": "kind"}],
-	    "aggs": [{"fn": "max", "as": "max_amount", "expr": {"col": "amount"}}],
-	    "order_by": [{"col": "kind"}]
-	  },
-	  "max_rows": 10
-	}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %v", resp.StatusCode, body)
-	}
-	rows := body["rows"].([]any)
-	if len(rows) != 2 {
-		t.Fatalf("rows = %v, want 2 groups", rows)
-	}
-	first := rows[0].([]any)
-	if first[0].(float64) != 1 {
-		t.Errorf("first group = %v, want kind 1", first)
+	s, ts := newHTTPServer(t)
+	for i, kind := range []int{5, 3} {
+		body := fmt.Sprintf(`{"sql": "SELECT kind, COUNT(*) AS n FROM orders WHERE kind < ? GROUP BY kind", "params": [%d], "priority": "batch"}`, kind)
+		resp, reply := postQuery(t, ts, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %v", resp.StatusCode, reply)
+		}
+		if reply["class"] != "batch" {
+			t.Errorf("class = %v, want batch", reply["class"])
+		}
+		if n := reply["row_count"].(float64); int(n) != kind {
+			t.Errorf("kind < %d: row_count = %v, want %d", kind, n, kind)
+		}
+		if elapsed := reply["elapsed_ms"].(float64); elapsed <= 0 {
+			t.Errorf("elapsed_ms = %v", elapsed)
+		}
+		if hits := s.Stats().PlanCache.Hits; hits != int64(i) {
+			t.Errorf("after post %d: plan-cache hits = %d, want %d", i+1, hits, i)
+		}
 	}
 }
 
@@ -86,10 +69,8 @@ func TestHTTPErrors(t *testing.T) {
 		{`not json`, http.StatusBadRequest},
 		{`{"bogus_field": 1}`, http.StatusBadRequest},
 		{`{}`, http.StatusBadRequest},
-		{`{"prepared": "x", "plan": {"from": "orders", "columns": ["kind"]}}`, http.StatusBadRequest},
-		{`{"prepared": "missing-plan"}`, http.StatusNotFound},
-		{`{"plan": {"from": "ghosts", "columns": ["x"]}}`, http.StatusBadRequest},
-		{`{"prepared": "count-orders", "priority": "urgent"}`, http.StatusBadRequest},
+		{`{"sql": "SELECT x FROM ghosts"}`, http.StatusBadRequest},
+		{`{"sql": "SELECT COUNT(*) AS n FROM orders", "priority": "urgent"}`, http.StatusBadRequest},
 	} {
 		resp, body := postQuery(t, ts, tc.body)
 		if resp.StatusCode != tc.status {
@@ -116,7 +97,7 @@ func TestHTTPTimeoutStatus(t *testing.T) {
 	s, _ := newHTTPServer(t)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	resp, body := postQuery(t, ts, `{"prepared": "revenue-by-region", "timeout_ms": 1}`)
+	resp, body := postQuery(t, ts, `{"sql": "`+sqlRevenueByRegion+`", "timeout_ms": 1}`)
 	// 504 on timeout; with a fast host the tiny query may still finish.
 	if resp.StatusCode != http.StatusGatewayTimeout && resp.StatusCode != http.StatusOK {
 		t.Errorf("status = %d (%v), want 504 or 200", resp.StatusCode, body)
@@ -126,7 +107,7 @@ func TestHTTPTimeoutStatus(t *testing.T) {
 func TestHTTPStatsTablesHealthz(t *testing.T) {
 	_, ts := newHTTPServer(t)
 	// Generate a little traffic first.
-	postQuery(t, ts, `{"prepared": "count-orders"}`)
+	postQuery(t, ts, `{"sql": "`+sqlCountOrders+`"}`)
 
 	get := func(path string) map[string]any {
 		resp, err := http.Get(ts.URL + path)
@@ -165,9 +146,8 @@ func TestHTTPStatsTablesHealthz(t *testing.T) {
 	if !strings.Contains(names, "orders") || !strings.Contains(names, "customers") {
 		t.Errorf("tables = %v", names)
 	}
-	prepared := fmt.Sprint(tables["prepared"])
-	if !strings.Contains(prepared, "revenue-by-kind") {
-		t.Errorf("prepared = %v", prepared)
+	if len(tables) != 1 {
+		t.Errorf("/tables keys = %v, want only \"tables\"", tables)
 	}
 }
 

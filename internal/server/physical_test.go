@@ -15,8 +15,8 @@ import (
 
 // The per-request aggregation-strategy override: a forced strategy shows
 // up in EXPLAIN, results stay identical across strategies, invalid values
-// and the retired "physical" field are client errors, and the plan cache
-// keys on the option so a forced plan never serves an auto request.
+// and retired request fields are client errors, and the plan cache keys
+// on the option so a forced plan never serves an auto request.
 
 const physJoinSQL = `
 SELECT l_orderkey, o_orderdate, SUM(l_quantity) AS qty
@@ -87,31 +87,43 @@ func TestPhysicalOverrideErrors(t *testing.T) {
 	if _, err := s.Submit(ctx, &Request{SQL: physJoinSQL, PhysicalAgg: "hashed"}); err == nil || !asBadRequest(err, &bad) {
 		t.Fatalf("unknown agg: want BadRequestError, got %v", err)
 	}
-	// The option changes compiled SQL plans, so it is meaningless — and
-	// rejected — on prepared-plan and DSL requests.
-	if _, err := s.Submit(ctx, &Request{Prepared: "q1", PhysicalAgg: "shared"}); err == nil || !asBadRequest(err, &bad) {
-		t.Fatalf("agg on prepared: want BadRequestError, got %v", err)
-	}
 }
 
-// TestRetiredPhysicalFieldRejected: the join-algorithm override is gone
-// with the sort-merge join. A request that still carries "physical" must get a
-// clean 400 naming the field, not have it silently ignored.
-func TestRetiredPhysicalFieldRejected(t *testing.T) {
+// TestRetiredFieldsRejected pins the request fields that are gone: the
+// join-algorithm override ("physical", retired with the sort-merge join)
+// and the two plan-entry paths beside SQL ("plan", the JSON plan DSL, and
+// "prepared", server-registered named plans). Each must get a clean 400
+// naming the field rather than be silently ignored; a request without
+// SQL text must get a 400 too.
+func TestRetiredFieldsRejected(t *testing.T) {
 	s, _ := newTPCHServer(t)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-	for _, v := range []string{"hash", "auto"} {
-		body := fmt.Sprintf(`{"sql": "SELECT COUNT(*) AS n FROM nation", "physical": %q}`, v)
+	post := func(body string) (int, string) {
+		t.Helper()
 		resp, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer resp.Body.Close()
 		var msg bytes.Buffer
 		_, _ = msg.ReadFrom(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.String(), "physical") {
-			t.Fatalf("physical=%q: status %d body %s, want 400 naming the field", v, resp.StatusCode, msg.String())
+		return resp.StatusCode, msg.String()
+	}
+	for _, tc := range []struct{ field, value string }{
+		{"physical", `"hash"`},
+		{"physical", `"auto"`},
+		{"plan", `{"from": "nation", "columns": ["n_name"]}`},
+		{"prepared", `"q1"`},
+	} {
+		body := fmt.Sprintf(`{"sql": "SELECT COUNT(*) AS n FROM nation", %q: %s}`, tc.field, tc.value)
+		if status, msg := post(body); status != http.StatusBadRequest || !strings.Contains(msg, tc.field) {
+			t.Errorf("%s=%s: status %d body %s, want 400 naming the field", tc.field, tc.value, status, msg)
+		}
+	}
+	for _, body := range []string{`{}`, `{"sql": ""}`} {
+		if status, msg := post(body); status != http.StatusBadRequest {
+			t.Errorf("%s: status %d body %s, want 400", body, status, msg)
 		}
 	}
 }

@@ -4,8 +4,9 @@
 // at morsel granularity with priority-weighted elasticity (§3.1 of the
 // paper, Fig. 13). The package adds what the engine itself does not
 // have: admission control (bounded queue), per-query priority classes,
-// per-query timeout/cancellation, prepared plans, a JSON plan DSL, and
-// an HTTP front end.
+// per-query timeout/cancellation, a SQL plan cache, and an HTTP front
+// end. SQL text is the only way in: every request compiles (or hits the
+// cache) through the sql package's parser, binder and optimizer.
 package server
 
 import (
@@ -126,11 +127,9 @@ var (
 	ErrQueueFull = errors.New("server: admission queue full")
 	// ErrClosed reports submission to a closed server.
 	ErrClosed = errors.New("server: closed")
-	// ErrUnknownPrepared reports an unregistered prepared-plan name.
-	ErrUnknownPrepared = errors.New("server: unknown prepared plan")
 )
 
-// BadRequestError is a client error (malformed DSL, unknown table or
+// BadRequestError is a client error (malformed SQL, unknown table or
 // column, type mismatch).
 type BadRequestError struct{ Msg string }
 
@@ -138,14 +137,11 @@ func (e *BadRequestError) Error() string { return e.Msg }
 
 // Request is one query submission.
 type Request struct {
-	// Prepared names a registered plan; Plan is an inline DSL plan;
-	// SQL is a SELECT statement compiled through the SQL front end
-	// (parser -> binder -> cost-based optimizer -> morsel-driven
-	// physical plan) and cached server-side by SQL text. Exactly one
-	// must be set.
-	Prepared string    `json:"prepared,omitempty"`
-	Plan     *PlanSpec `json:"plan,omitempty"`
-	SQL      string    `json:"sql,omitempty"`
+	// SQL is the statement to run: a SELECT compiled through the SQL
+	// front end (parser -> binder -> cost-based optimizer ->
+	// morsel-driven physical plan) and cached server-side by SQL text,
+	// or an INSERT. Required.
+	SQL string `json:"sql,omitempty"`
 	// Params binds the statement's ? placeholders in order. Integer
 	// placeholders also accept "YYYY-MM-DD" date strings.
 	Params []any `json:"params,omitempty"`
@@ -165,9 +161,8 @@ type Request struct {
 	// (Response.Distributed reports what actually happened).
 	Distributed bool `json:"distributed,omitempty"`
 	// PhysicalAgg overrides the server's default aggregation strategy
-	// for this SQL statement: "auto", "shared" or "partitioned". Only
-	// valid with SQL requests; the compiled plan is cached per (SQL
-	// text, physical options).
+	// for this statement: "auto", "shared" or "partitioned". The
+	// compiled plan is cached per (SQL text, physical options).
 	PhysicalAgg string `json:"agg,omitempty"`
 }
 
@@ -206,11 +201,10 @@ type Server struct {
 	exec  *engine.Exec
 	start time.Time
 
-	mu       sync.RWMutex
-	tables   map[string]*core.Table
-	prepared map[string]*core.Plan
-	cluster  *clusterState // nil until EnableCluster
-	closed   bool
+	mu      sync.RWMutex
+	tables  map[string]*core.Table
+	cluster *clusterState // nil until EnableCluster
+	closed  bool
 
 	// Snapshot config (EnableSnapshots); snapWrite serializes writers.
 	snapDir   string
@@ -234,16 +228,15 @@ type Server struct {
 }
 
 // New creates a started server on the given system. Callers register
-// tables and prepared plans, then serve HTTP via Handler or submit
-// directly via Submit. Close releases the worker pool.
+// tables, then serve HTTP via Handler or submit directly via Submit.
+// Close releases the worker pool.
 func New(sys *core.System, cfg Config) *Server {
 	s := &Server{
-		cfg:      cfg.withDefaults(sys.Machine.Topo.Sockets),
-		sys:      sys,
-		exec:     sys.Exec(),
-		start:    time.Now(),
-		tables:   make(map[string]*core.Table),
-		prepared: make(map[string]*core.Plan),
+		cfg:    cfg.withDefaults(sys.Machine.Topo.Sockets),
+		sys:    sys,
+		exec:   sys.Exec(),
+		start:  time.Now(),
+		tables: make(map[string]*core.Table),
 	}
 	s.cache = newPlanCache(s.cfg.PlanCacheSize)
 	s.adm.init(s.cfg.MaxConcurrent, s.cfg.MaxQueue)
@@ -282,16 +275,7 @@ func (s *Server) Table(name string) (*core.Table, bool) {
 	return t, ok
 }
 
-// Prepare registers a named plan. Prepared plans are compiled per
-// submission (compilation is concurrency-safe and cheap relative to
-// execution), so one plan may serve many concurrent clients.
-func (s *Server) Prepare(name string, p *core.Plan) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.prepared[name] = p
-}
-
-// Submit runs one request to completion: resolve the plan, pass
+// Submit runs one request to completion: compile the SQL, pass
 // admission, execute on the shared pool with the class's priority, and
 // package the result. It blocks until the result is ready, the request
 // times out, or ctx is canceled.
@@ -304,7 +288,7 @@ func (s *Server) Submit(ctx context.Context, req *Request) (*Response, error) {
 	default:
 		return nil, &BadRequestError{Msg: fmt.Sprintf("unknown priority class %q (want interactive or batch)", req.Priority)}
 	}
-	if req.SQL != "" && sql.IsInsert(req.SQL) {
+	if sql.IsInsert(req.SQL) {
 		return s.submitInsert(ctx, req, class)
 	}
 	plan, err := s.resolvePlan(req)
@@ -438,59 +422,25 @@ func (s *Server) admit(ctx context.Context, class Class) error {
 }
 
 func (s *Server) resolvePlan(req *Request) (*core.Plan, error) {
-	set := 0
-	for _, have := range []bool{req.Prepared != "", req.Plan != nil, req.SQL != ""} {
-		if have {
-			set++
-		}
+	if req.SQL == "" {
+		return nil, &BadRequestError{Msg: "missing \"sql\""}
 	}
-	if set > 1 {
-		return nil, &BadRequestError{Msg: "set exactly one of \"prepared\", \"plan\", \"sql\""}
+	ph := s.cfg.Physical
+	if req.PhysicalAgg != "" {
+		ph.Agg = req.PhysicalAgg
 	}
-	if req.PhysicalAgg != "" && req.SQL == "" {
-		return nil, &BadRequestError{Msg: "\"agg\" applies only to \"sql\" requests"}
-	}
-	template, err := func() (*core.Plan, error) {
-		switch {
-		case req.Prepared != "":
-			s.mu.RLock()
-			p, ok := s.prepared[req.Prepared]
-			s.mu.RUnlock()
-			if !ok {
-				return nil, fmt.Errorf("%w: %q", ErrUnknownPrepared, req.Prepared)
-			}
-			return p, nil
-		case req.Plan != nil:
-			p, err := req.Plan.Build(s.Table)
-			if err != nil {
-				return nil, &BadRequestError{Msg: err.Error()}
-			}
-			return p, nil
-		case req.SQL != "":
-			ph := s.cfg.Physical
-			if req.PhysicalAgg != "" {
-				ph.Agg = req.PhysicalAgg
-			}
-			prep, err := s.prepareSQL(req.SQL, ph)
-			if err != nil {
-				return nil, &BadRequestError{Msg: err.Error()}
-			}
-			return prep.Plan, nil
-		default:
-			return nil, &BadRequestError{Msg: "set \"prepared\", \"plan\" or \"sql\""}
-		}
-	}()
+	prep, err := s.prepareSQL(req.SQL, ph)
 	if err != nil {
-		return nil, err
+		return nil, &BadRequestError{Msg: err.Error()}
 	}
 	// An explain without params renders the template itself, keeping the
 	// ?N placeholders visible (nothing executes).
 	if req.Explain && len(req.Params) == 0 {
-		return template, nil
+		return prep.Plan, nil
 	}
 	// Bind ? placeholders (also validates that plans without placeholders
-	// receive no params). Named prepared plans may be parameterized too.
-	bound, err := template.BindArgs(req.Params...)
+	// receive no params).
+	bound, err := prep.Plan.BindArgs(req.Params...)
 	if err != nil {
 		return nil, &BadRequestError{Msg: err.Error()}
 	}
@@ -799,8 +749,8 @@ type TableInfo struct {
 	Columns   []string `json:"columns"`
 }
 
-// Tables lists registered tables and prepared plan names.
-func (s *Server) Tables() (tables []TableInfo, prepared []string) {
+// Tables lists the registered tables, sorted by name.
+func (s *Server) Tables() (tables []TableInfo) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, t := range s.tables {
@@ -816,9 +766,5 @@ func (s *Server) Tables() (tables []TableInfo, prepared []string) {
 		tables = append(tables, info)
 	}
 	sort.Slice(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
-	for name := range s.prepared {
-		prepared = append(prepared, name)
-	}
-	sort.Strings(prepared)
-	return tables, prepared
+	return tables
 }

@@ -14,8 +14,7 @@ import (
 )
 
 // buildSystem creates a small system with an orders fact table and a
-// customers dimension, plus the three prepared plans the daemon also
-// ships: an interactive point aggregate, a batch rollup, and a join.
+// customers dimension.
 func buildSystem(orderRows int) (*core.System, *core.Table, *core.Table) {
 	sys := core.NewSystem(core.Nehalem(), core.Options{Workers: 8, MorselRows: 1000})
 	ob := core.NewTableBuilder("orders", core.Schema{
@@ -41,6 +40,15 @@ func buildSystem(orderRows int) (*core.System, *core.Table, *core.Table) {
 	customers := sys.Register(cb)
 	return sys, orders, customers
 }
+
+// The three statements most server tests submit — a batch rollup, an
+// interactive point aggregate and a join — and, below, the same queries
+// built by hand as independent solo references.
+const (
+	sqlRevenueByKind   = "SELECT kind, COUNT(*) AS n, SUM(amount) AS revenue FROM orders GROUP BY kind ORDER BY kind"
+	sqlCountOrders     = "SELECT COUNT(*) AS n FROM orders WHERE kind < 5"
+	sqlRevenueByRegion = "SELECT region, SUM(amount) AS revenue FROM orders, customers WHERE cust = cid GROUP BY region ORDER BY revenue DESC"
+)
 
 func revenueByKind(orders *core.Table) *core.Plan {
 	p := core.NewPlan("revenue-by-kind")
@@ -79,9 +87,6 @@ func newTestServer(orderRows int, cfg Config) (*Server, *core.Table, *core.Table
 	s := New(sys, cfg)
 	s.RegisterTable(orders)
 	s.RegisterTable(customers)
-	s.Prepare("revenue-by-kind", revenueByKind(orders))
-	s.Prepare("count-orders", countOrders(orders))
-	s.Prepare("revenue-by-region", revenueByRegion(orders, customers))
 	return s, orders, customers
 }
 
@@ -150,25 +155,28 @@ func equalCanon(a, b []string) bool {
 }
 
 // TestConcurrentMixedPrioritiesMatchReference is the correctness core of
-// the server: N concurrent queries (mixed plans, mixed priority classes)
-// through ONE shared server and worker pool must each return exactly the
-// rows a single solo run of the same plan returns. Run under -race in CI.
+// the server: N concurrent SQL queries (mixed statements, mixed priority
+// classes) through ONE shared server and worker pool must each return
+// exactly the rows a solo run of the equivalent hand-built plan returns.
+// Run under -race in CI.
 func TestConcurrentMixedPrioritiesMatchReference(t *testing.T) {
 	s, orders, customers := newTestServer(120_000, Config{MaxConcurrent: 16, MaxQueue: 64})
 	defer s.Close()
 
-	plans := map[string]*core.Plan{
-		"revenue-by-kind":   revenueByKind(orders),
-		"count-orders":      countOrders(orders),
-		"revenue-by-region": revenueByRegion(orders, customers),
+	queries := []struct {
+		sql  string
+		plan *core.Plan
+	}{
+		{sqlRevenueByKind, revenueByKind(orders)},
+		{sqlCountOrders, countOrders(orders)},
+		{sqlRevenueByRegion, revenueByRegion(orders, customers)},
 	}
-	names := []string{"revenue-by-kind", "count-orders", "revenue-by-region"}
 
 	// Single-query references, each on a private pool via System.Run.
-	refs := make(map[string][]string, len(plans))
-	for name, p := range plans {
-		res, _ := s.sys.Run(p)
-		refs[name] = canonResult(res)
+	refs := make([][]string, len(queries))
+	for i, q := range queries {
+		res, _ := s.sys.Run(q.plan)
+		refs[i] = canonResult(res)
 	}
 
 	const n = 24
@@ -178,17 +186,18 @@ func TestConcurrentMixedPrioritiesMatchReference(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			name := names[i%len(names)]
+			qi := i % len(queries)
+			name := queries[qi].plan.Name
 			class := ClassInteractive
 			if i%2 == 0 {
 				class = ClassBatch
 			}
-			resp, err := s.Submit(context.Background(), &Request{Prepared: name, Priority: class})
+			resp, err := s.Submit(context.Background(), &Request{SQL: queries[qi].sql, Priority: class})
 			if err != nil {
 				errs <- fmt.Errorf("query %d (%s/%s): %v", i, name, class, err)
 				return
 			}
-			if !equalCanon(canonResponse(resp), refs[name]) {
+			if !equalCanon(canonResponse(resp), refs[qi]) {
 				errs <- fmt.Errorf("query %d (%s/%s): result diverged from solo reference", i, name, class)
 			}
 		}(i)
@@ -268,7 +277,7 @@ func TestQueueFullEndToEnd(t *testing.T) {
 	if err := s.adm.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	_, err := s.Submit(context.Background(), &Request{Prepared: "count-orders"})
+	_, err := s.Submit(context.Background(), &Request{SQL: sqlCountOrders})
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("submit against full gate: %v, want ErrQueueFull", err)
 	}
@@ -278,7 +287,7 @@ func TestQueueFullEndToEnd(t *testing.T) {
 
 	// Releasing the slot restores service.
 	s.adm.release()
-	resp, err := s.Submit(context.Background(), &Request{Prepared: "count-orders"})
+	resp, err := s.Submit(context.Background(), &Request{SQL: sqlCountOrders})
 	if err != nil {
 		t.Fatalf("submit after release: %v", err)
 	}
@@ -292,7 +301,7 @@ func TestQueryTimeoutThenRecovery(t *testing.T) {
 	defer s.Close()
 
 	_, err := s.Submit(context.Background(),
-		&Request{Prepared: "revenue-by-region", Priority: ClassBatch, TimeoutMs: 1})
+		&Request{SQL: sqlRevenueByRegion, Priority: ClassBatch, TimeoutMs: 1})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -301,7 +310,7 @@ func TestQueryTimeoutThenRecovery(t *testing.T) {
 	}
 
 	// The shared pool must be fully usable after the cancellation.
-	resp, err := s.Submit(context.Background(), &Request{Prepared: "count-orders"})
+	resp, err := s.Submit(context.Background(), &Request{SQL: sqlCountOrders})
 	if err != nil {
 		t.Fatalf("follow-up query: %v", err)
 	}
@@ -319,21 +328,18 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := s.Submit(ctx, &Request{}); !errors.As(err, &bad) {
 		t.Errorf("empty request: %v, want BadRequestError", err)
 	}
-	if _, err := s.Submit(ctx, &Request{Prepared: "nope"}); !errors.Is(err, ErrUnknownPrepared) {
-		t.Errorf("unknown prepared: %v, want ErrUnknownPrepared", err)
-	}
-	if _, err := s.Submit(ctx, &Request{Prepared: "count-orders", Priority: "urgent"}); !errors.As(err, &bad) {
+	if _, err := s.Submit(ctx, &Request{SQL: sqlCountOrders, Priority: "urgent"}); !errors.As(err, &bad) {
 		t.Errorf("bad class: %v, want BadRequestError", err)
 	}
-	if _, err := s.Submit(ctx, &Request{Plan: &PlanSpec{From: "ghosts", Columns: []string{"x"}}}); !errors.As(err, &bad) {
+	if _, err := s.Submit(ctx, &Request{SQL: "SELECT x FROM ghosts"}); !errors.As(err, &bad) {
 		t.Errorf("unknown table: %v, want BadRequestError", err)
 	}
-	if _, err := s.Submit(ctx, &Request{Plan: &PlanSpec{From: "orders", Columns: []string{"ghost_col"}}}); !errors.As(err, &bad) {
+	if _, err := s.Submit(ctx, &Request{SQL: "SELECT ghost_col FROM orders"}); !errors.As(err, &bad) {
 		t.Errorf("unknown column: %v, want BadRequestError", err)
 	}
 
 	s.Close()
-	if _, err := s.Submit(ctx, &Request{Prepared: "count-orders"}); !errors.Is(err, ErrClosed) {
+	if _, err := s.Submit(ctx, &Request{SQL: sqlCountOrders}); !errors.Is(err, ErrClosed) {
 		t.Errorf("closed server: %v, want ErrClosed", err)
 	}
 }
@@ -341,7 +347,7 @@ func TestSubmitValidation(t *testing.T) {
 func TestMaxRowsTruncation(t *testing.T) {
 	s, _, _ := newTestServer(10_000, Config{})
 	defer s.Close()
-	resp, err := s.Submit(context.Background(), &Request{Prepared: "revenue-by-kind", MaxRows: 3})
+	resp, err := s.Submit(context.Background(), &Request{SQL: sqlRevenueByKind, MaxRows: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

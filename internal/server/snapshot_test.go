@@ -26,7 +26,7 @@ func TestSnapshotWhileQuerying(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				if _, err := s.Submit(context.Background(), &Request{Prepared: "count-orders"}); err != nil {
+				if _, err := s.Submit(context.Background(), &Request{SQL: sqlCountOrders}); err != nil {
 					t.Errorf("query: %v", err)
 					return
 				}

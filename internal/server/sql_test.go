@@ -14,9 +14,7 @@ import (
 	"repro/internal/tpch"
 )
 
-// newTPCHServer registers the TPC-H relations and hand-built prepared
-// plans on one server, so SQL and hand-built plans run through the same
-// admission gate, dispatcher and worker pool.
+// newTPCHServer registers the TPC-H relations on one server.
 func newTPCHServer(t *testing.T) (*Server, *tpch.DB) {
 	t.Helper()
 	db := tpch.Generate(tpch.Config{SF: 0.01, Partitions: 16, Sockets: 4, Seed: 42})
@@ -28,15 +26,16 @@ func newTPCHServer(t *testing.T) (*Server, *tpch.DB) {
 	} {
 		s.RegisterTable(tab)
 	}
-	s.Prepare("q1", tpch.QueryPlan(1, db))
-	s.Prepare("q3", tpch.QueryPlan(3, db))
-	s.Prepare("q6", tpch.QueryPlan(6, db))
-	s.Prepare("q7", tpch.QueryPlan(7, db))
-	s.Prepare("q13", tpch.QueryPlan(13, db))
-	s.Prepare("q16", tpch.QueryPlan(16, db))
-	s.Prepare("q22", tpch.QueryPlan(22, db))
 	t.Cleanup(s.Close)
 	return s, db
+}
+
+// solo runs a hand-built plan on a private pool via System.Run and
+// renders it as the server would, as an independent reference for a SQL
+// request.
+func solo(s *Server, p *core.Plan) *Response {
+	res, _ := s.sys.Run(p)
+	return s.respond(p, ClassBatch, res, &Request{}, 0, 0)
 }
 
 const serverSQLQ1 = `
@@ -109,47 +108,45 @@ func sameRows(t *testing.T, label string, got, want *Response) {
 	}
 }
 
-// TestSQLMatchesHandBuiltThroughServer runs the SQL versions of TPC-H
-// Q1/Q3/Q6 and the hand-built prepared plans through the same shared
-// server path and requires identical results.
+// TestSQLMatchesHandBuiltThroughServer runs SQL versions of TPC-H
+// queries through the shared server path and requires the results of
+// solo runs of the hand-built plans.
 func TestSQLMatchesHandBuiltThroughServer(t *testing.T) {
-	s, _ := newTPCHServer(t)
+	s, db := newTPCHServer(t)
 	ctx := context.Background()
 	for _, tc := range []struct {
-		prepared string
-		query    string
+		q     int
+		query string
 	}{
-		{"q1", serverSQLQ1},
-		{"q3", serverSQLQ3},
-		{"q6", serverSQLQ6},
+		{1, serverSQLQ1},
+		{3, serverSQLQ3},
+		{6, serverSQLQ6},
 		// Q13 (derived table + build-side mark outer join) and Q22
 		// (scalar subquery + NOT EXISTS anti join) exercise the new SQL
 		// surface through the shared server path; Q7 (two nation roles
 		// via per-relation column renaming) and Q16 (COUNT(DISTINCT) +
 		// NOT IN) cover the 22/22 dialect additions.
-		{"q7", tpch.MustSQLText(7, 1)},
-		{"q13", tpch.MustSQLText(13, 1)},
-		{"q16", tpch.MustSQLText(16, 1)},
-		{"q22", tpch.MustSQLText(22, 1)},
+		{7, tpch.MustSQLText(7, 1)},
+		{13, tpch.MustSQLText(13, 1)},
+		{16, tpch.MustSQLText(16, 1)},
+		{22, tpch.MustSQLText(22, 1)},
 	} {
+		label := fmt.Sprintf("q%d", tc.q)
 		got, err := s.Submit(ctx, &Request{SQL: tc.query})
 		if err != nil {
-			t.Fatalf("%s via SQL: %v", tc.prepared, err)
+			t.Fatalf("%s via SQL: %v", label, err)
 		}
-		want, err := s.Submit(ctx, &Request{Prepared: tc.prepared})
-		if err != nil {
-			t.Fatalf("%s prepared: %v", tc.prepared, err)
-		}
+		want := solo(s, tpch.QueryPlan(tc.q, db))
 		// Output schemas must agree column-for-column.
 		if strings.Join(got.Columns, ",") != strings.Join(want.Columns, ",") {
-			t.Fatalf("%s: columns %v vs %v", tc.prepared, got.Columns, want.Columns)
+			t.Fatalf("%s: columns %v vs %v", label, got.Columns, want.Columns)
 		}
-		sameRows(t, tc.prepared, got, want)
+		sameRows(t, label, got, want)
 	}
 }
 
-// TestSSBSQLThroughServer runs SQL versions of two SSB queries and the
-// hand-built prepared plans through the same server.
+// TestSSBSQLThroughServer runs SQL versions of two SSB queries through
+// the server and compares them with solo runs of the hand-built plans.
 func TestSSBSQLThroughServer(t *testing.T) {
 	db := ssb.Generate(ssb.Config{SF: 0.01, Partitions: 16, Sockets: 4, Seed: 5})
 	sys := core.NewSystem(core.Nehalem(), core.Options{Workers: 8, MorselRows: 5000})
@@ -158,18 +155,16 @@ func TestSSBSQLThroughServer(t *testing.T) {
 	for _, tab := range []*core.Table{db.Lineorder, db.Date, db.Customer, db.Supplier, db.Part} {
 		s.RegisterTable(tab)
 	}
-	s.Prepare("ssb1.1", ssb.QueryByID("1.1").Plan(db))
-	s.Prepare("ssb2.1", ssb.QueryByID("2.1").Plan(db))
 	ctx := context.Background()
 	for _, tc := range []struct {
-		prepared string
-		query    string
+		id    string
+		query string
 	}{
-		{"ssb1.1", `SELECT SUM(lo_extendedprice * lo_discount) AS revenue
+		{"1.1", `SELECT SUM(lo_extendedprice * lo_discount) AS revenue
 			FROM lineorder, date
 			WHERE lo_orderdate = d_datekey AND d_year = 1993
 			  AND lo_discount BETWEEN 1 AND 3 AND lo_quantity < 25`},
-		{"ssb2.1", `SELECT d_year, p_brand1, SUM(lo_revenue) AS revenue
+		{"2.1", `SELECT d_year, p_brand1, SUM(lo_revenue) AS revenue
 			FROM lineorder, date, part, supplier
 			WHERE lo_orderdate = d_datekey AND lo_partkey = p_partkey AND lo_suppkey = s_suppkey
 			  AND p_category = 'MFGR#12' AND s_region = 'AMERICA'
@@ -178,18 +173,14 @@ func TestSSBSQLThroughServer(t *testing.T) {
 	} {
 		got, err := s.Submit(ctx, &Request{SQL: tc.query})
 		if err != nil {
-			t.Fatalf("%s via SQL: %v", tc.prepared, err)
+			t.Fatalf("ssb%s via SQL: %v", tc.id, err)
 		}
-		want, err := s.Submit(ctx, &Request{Prepared: tc.prepared})
-		if err != nil {
-			t.Fatalf("%s prepared: %v", tc.prepared, err)
-		}
-		sameRows(t, tc.prepared, got, want)
+		sameRows(t, "ssb"+tc.id, got, solo(s, ssb.QueryByID(tc.id).Plan(db)))
 	}
 }
 
 // TestSQLExplainOption checks that explain requests return the optimized
-// plan text without executing, for SQL and prepared plans alike.
+// plan text without executing.
 func TestSQLExplainOption(t *testing.T) {
 	s, _ := newTPCHServer(t)
 	ctx := context.Background()
@@ -212,14 +203,6 @@ func TestSQLExplainOption(t *testing.T) {
 	if resp.Columns[0] != "l_orderkey" || resp.Columns[3] != "revenue" {
 		t.Fatalf("explain columns: %v", resp.Columns)
 	}
-
-	prep, err := s.Submit(ctx, &Request{Prepared: "q6", Explain: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(prep.Plan, "scan(lineitem)") {
-		t.Fatalf("prepared explain:\n%s", prep.Plan)
-	}
 }
 
 func TestSQLErrorsAreBadRequests(t *testing.T) {
@@ -236,12 +219,6 @@ func TestSQLErrorsAreBadRequests(t *testing.T) {
 		if err == nil || !asBadRequest(err, &bad) {
 			t.Fatalf("query %q: want BadRequestError, got %v", q, err)
 		}
-	}
-	// Setting two plan sources is rejected.
-	_, err := s.Submit(ctx, &Request{SQL: "SELECT * FROM nation", Prepared: "q1"})
-	var bad *BadRequestError
-	if err == nil || !asBadRequest(err, &bad) {
-		t.Fatalf("two sources: want BadRequestError, got %v", err)
 	}
 }
 
@@ -336,66 +313,4 @@ func TestConcurrentSQLClients(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-}
-
-// TestDSLOuterAndMarkKinds covers the newly exposed join kinds: "outer"
-// preserves probe rows with zero-valued payload; "mark" behaves like
-// inner on the probe path.
-func TestDSLOuterAndMarkKinds(t *testing.T) {
-	s, orders, _ := newTestServer(5_000, Config{})
-	defer s.Close()
-	ctx := context.Background()
-
-	// Outer join against a build side restricted to region "emea":
-	// every order survives; non-emea customers' orders carry region "".
-	outer := &Request{Plan: &PlanSpec{
-		From: "orders", Columns: []string{"id", "cust"},
-		Joins: []JoinSpec{{
-			Table: "customers", Columns: []string{"cid", "region"},
-			Where:   &ExprSpec{Op: "eq", Args: []*ExprSpec{{Col: strp("region")}, {Str: strp("emea")}}},
-			On:      [][2]string{{"cust", "cid"}},
-			Payload: []string{"region"},
-			Kind:    "outer",
-		}},
-		GroupBy: []NamedExprSpec{{Name: "region"}},
-		Aggs:    []AggSpec{{Fn: "count", As: "n"}},
-		OrderBy: []OrderSpec{{Col: "region"}},
-	}}
-	resp, err := s.Submit(ctx, outer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Rows) != 2 {
-		t.Fatalf("outer join groups = %v, want [\"\" emea]", resp.Rows)
-	}
-	total := resp.Rows[0][1].(int64) + resp.Rows[1][1].(int64)
-	if int(total) != orders.Rows() {
-		t.Fatalf("outer join preserved %d of %d probe rows", total, orders.Rows())
-	}
-	if resp.Rows[0][0].(string) != "" || resp.Rows[1][0].(string) != "emea" {
-		t.Fatalf("outer join groups = %v", resp.Rows)
-	}
-
-	// Mark join matches inner-join results on the probe path.
-	joinOf := func(kind string) *Request {
-		return &Request{Plan: &PlanSpec{
-			From: "orders", Columns: []string{"cust", "amount"},
-			Joins: []JoinSpec{{
-				Table: "customers", Columns: []string{"cid", "region"},
-				On: [][2]string{{"cust", "cid"}}, Payload: []string{"region"}, Kind: kind,
-			}},
-			GroupBy: []NamedExprSpec{{Name: "region"}},
-			Aggs:    []AggSpec{{Fn: "sum", As: "rev", Expr: &ExprSpec{Col: strp("amount")}}},
-			OrderBy: []OrderSpec{{Col: "region"}},
-		}}
-	}
-	mark, err := s.Submit(ctx, joinOf("mark"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner, err := s.Submit(ctx, joinOf("inner"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, "mark vs inner", mark, inner)
 }

@@ -53,11 +53,21 @@ func (rt *aggRuntime) sinkWeight() float64 {
 	return w
 }
 
-// sink compiles the phase-1 front half both engines share: per row it
+// aggEngine is what sets the two aggregation engines apart in phase 1:
+// where a row lands once its group key is encoded and hashed (h).
+type aggEngine interface {
+	// group returns the table the key aggregates into on this worker and
+	// its group there, creating the group where the engine has room; g < 0
+	// means the key is cold, and spill takes the row.
+	group(e *Ectx, h uint64, key []byte) (tab *groupTable, g int)
+	// spill takes a row of a cold key, with its aggregate inputs.
+	spill(e *Ectx, h uint64, key []byte, tuple []float64)
+}
+
+// sink compiles phase 1's row entry, which both engines share: per row it
 // encodes the group key into e.key, evaluates the aggregate inputs into
-// the worker's tuple scratch, charges the CPU weight, and hands the key's
-// hash and the tuple to absorb.
-func (rt *aggRuntime) sink(pc *pipeCtx, absorb func(e *Ectx, h uint64, tuple []float64)) rowFn {
+// the worker's tuple scratch, charges the CPU weight, and lands the row.
+func (rt *aggRuntime) sink(pc *pipeCtx, eng aggEngine) rowFn {
 	groupFns := make([]evalFn, len(rt.groups))
 	w := rt.sinkWeight()
 	for i, g := range rt.groups {
@@ -96,8 +106,24 @@ func (rt *aggRuntime) sink(pc *pipeCtx, absorb func(e *Ectx, h uint64, tuple []f
 				tuple[i] = float64(fn(e).I)
 			}
 		}
-		absorb(e, hashBytes(e.key), tuple)
+		h := hashBytes(e.key)
+		if tab, g := eng.group(e, h, e.key); g >= 0 {
+			tab.merge(g, tuple, 1)
+		} else {
+			eng.spill(e, h, e.key, tuple)
+		}
 	}
+}
+
+// consumer returns phase 1's entry into pc: the batch sink when every
+// register of pc is a column the scan reads — nothing but (zero-cost)
+// projections and batch semi or anti probes sit between the scan and the
+// aggregation — and the row sink otherwise.
+func (rt *aggRuntime) consumer(pc *pipeCtx, eng aggEngine) consumer {
+	if pc.scanCols != nil && !pc.rowOnly && len(pc.regs) == len(pc.scanCols) {
+		return consumer{batch: rt.batchSink(pc, eng)}
+	}
+	return consumer{row: rt.sink(pc, eng)}
 }
 
 // phase2 compiles the partition-wise final aggregation both engines
@@ -234,31 +260,23 @@ func (s *sharedAgg) spillOf(wid, pid int) *groupRows {
 	return &s.spills[wid][pid]
 }
 
-// group returns the key's group in the worker's table, creating it while
-// the table has room; -1 means the key is cold.
-func (s *sharedAgg) group(local *groupTable, h uint64, key []byte) int {
+// group finds the key's group in the worker's pre-aggregation table,
+// creating it while the table has room; a key that finds none is cold.
+func (s *sharedAgg) group(e *Ectx, h uint64, key []byte) (*groupTable, int) {
+	local := s.local(e.W.ID)
 	g := local.find(h, key)
 	if g < 0 && local.len() < s.capacity {
 		g = local.insert(h, key)
 	}
-	return g
+	return local, g
 }
 
-// spill routes the single-tuple partial of a cold key (in e.key) straight
-// to its overflow partition, without creating a group.
-func (s *sharedAgg) spill(e *Ectx, h uint64, tuple []float64) {
+// spill routes the single-tuple partial of a cold key straight to its
+// overflow partition, without creating a group.
+func (s *sharedAgg) spill(e *Ectx, h uint64, key []byte, tuple []float64) {
 	buf := s.spillOf(e.W.ID, aggPartition(h))
-	buf.merge(buf.add(h, e.key), tuple, 1)
+	buf.merge(buf.add(h, key), tuple, 1)
 	e.writeBytes += s.rowW
-}
-
-func (s *sharedAgg) absorb(e *Ectx, h uint64, tuple []float64) {
-	local := s.local(e.W.ID)
-	if g := s.group(local, h, e.key); g >= 0 {
-		local.merge(g, tuple, 1)
-	} else {
-		s.spill(e, h, tuple)
-	}
 }
 
 // keyPart is one group key of the batch sink: a scan column encoded
@@ -271,14 +289,15 @@ type keyPart struct {
 	fill regFill
 }
 
-// batchSink is phase 1 for an aggregation sitting directly on a scan
-// pipeline: per chunk it evaluates the aggregate inputs as vector kernels
-// over the selected rows, resolves each row's group against the worker's
-// table (spilling cold keys row by row exactly as absorb does), then folds
-// each aggregate's vector in one loop. Rows reach every accumulator in
-// scan order, so the sums are bit-identical to the row sink's.
-func (s *sharedAgg) batchSink(pc *pipeCtx) func(e *Ectx, b *colBatch) {
-	rt := s.rt
+// batchSink is phase 1's batch entry, which both engines share: per chunk
+// it evaluates the aggregate inputs as vector kernels over the selected
+// rows, then resolves each row's group key and lands the row. Rows whose
+// group lies in the table the chunk's first group does (for the shared
+// engine, every group) are folded afterwards, one loop per aggregate over
+// the chunk's vectors; any other row is merged or spilled on the spot with
+// its inputs. Rows reach every accumulator in scan order, so the sums are
+// bit-identical to the row sink's.
+func (rt *aggRuntime) batchSink(pc *pipeCtx, eng aggEngine) func(e *Ectx, b *colBatch) {
 	w := rt.sinkWeight()
 	keys := make([]keyPart, len(rt.groups))
 	for i, g := range rt.groups {
@@ -300,7 +319,6 @@ func (s *sharedAgg) batchSink(pc *pipeCtx) func(e *Ectx, b *colBatch) {
 	}
 	pc.vecSlots = len(prog.exprs)
 	globalHash := hashBytes(nil)
-	tuples := make([][]float64, rt.c.workers)
 	return func(e *Ectx, b *colBatch) {
 		rows := b.rows()
 		if rows == 0 {
@@ -310,21 +328,25 @@ func (s *sharedAgg) batchSink(pc *pipeCtx) func(e *Ectx, b *colBatch) {
 		for _, step := range prog.steps {
 			step(e, b)
 		}
-		local := s.local(e.W.ID)
 		if len(keys) == 0 {
-			e.key = e.key[:0]
-			if g := s.group(local, globalHash, e.key); g >= 0 {
+			if tab, g := eng.group(e, globalHash, nil); g >= 0 {
 				for k, sl := range slots {
 					if sl >= 0 {
-						local.foldInto(g, k, e.vecs[sl][:rows])
+						tab.foldInto(g, k, e.vecs[sl][:rows])
 					}
 				}
-				local.counts[g] += int64(rows)
+				tab.counts[g] += int64(rows)
 				return
 			}
 			// Only a zero-capacity table sends the one global group down
-			// the cold path below, row by row.
+			// the row-by-row path below.
 		}
+		if cap(e.tuple) < len(slots) {
+			e.tuple = make([]float64, len(slots))
+		}
+		tuple := e.tuple[:len(slots)]
+		clear(tuple)
+		var folded *groupTable
 		gids := e.gids[:rows]
 		for j := range gids {
 			r := b.row(j)
@@ -343,33 +365,43 @@ func (s *sharedAgg) batchSink(pc *pipeCtx) func(e *Ectx, b *colBatch) {
 				}
 			}
 			h := hashBytes(e.key)
-			g := s.group(local, h, e.key)
-			if g < 0 {
-				tuple := tuples[e.W.ID]
-				if tuple == nil {
-					tuple = make([]float64, len(slots))
-					tuples[e.W.ID] = tuple
-				}
-				for k, sl := range slots {
-					if sl >= 0 {
-						tuple[k] = e.vecs[sl][j]
-					}
-				}
-				s.spill(e, h, tuple)
+			tab, g := eng.group(e, h, e.key)
+			switch {
+			case g < 0:
+				eng.spill(e, h, e.key, rowTuple(tuple, slots, e.vecs, j))
+			case folded == nil:
+				folded = tab
+			case tab != folded:
+				tab.merge(g, rowTuple(tuple, slots, e.vecs, j), 1)
+				g = -1
 			}
 			gids[j] = int32(g)
 		}
+		if folded == nil {
+			return
+		}
 		for k, sl := range slots {
 			if sl >= 0 {
-				local.fold(gids, k, e.vecs[sl][:rows])
+				folded.fold(gids, k, e.vecs[sl][:rows])
 			}
 		}
 		for _, g := range gids {
 			if g >= 0 {
-				local.counts[g]++
+				folded.counts[g]++
 			}
 		}
 	}
+}
+
+// rowTuple fills tuple with row j's aggregate inputs from the slots'
+// vectors.
+func rowTuple(tuple []float64, slots []int, vecs [][]float64, j int) []float64 {
+	for k, sl := range slots {
+		if sl >= 0 {
+			tuple[k] = vecs[sl][j]
+		}
+	}
+	return tuple
 }
 
 // produceAgg compiles the paper's two-phase parallel aggregation: phase 1
@@ -379,15 +411,7 @@ func (s *sharedAgg) batchSink(pc *pipeCtx) func(e *Ectx, b *colBatch) {
 func (c *compiler) produceAgg(n *Node, f consumerFactory) []tailJob {
 	s := c.newSharedAgg(n)
 	rt := s.rt
-	tails := n.child.produce(c, func(pc *pipeCtx) consumer {
-		cons := consumer{row: rt.sink(pc, s.absorb)}
-		if pc.scanCols != nil && len(pc.regs) == len(pc.scanCols) {
-			// Every register is a scan column, so nothing but (zero-cost)
-			// projections can sit between the scan and this sink.
-			cons.batch = s.batchSink(pc)
-		}
-		return cons
-	})
+	tails := n.child.produce(c, func(pc *pipeCtx) consumer { return rt.consumer(pc, s) })
 
 	return rt.phase2("aggregate", tails, f,
 		func() {
@@ -424,51 +448,63 @@ func (c *compiler) produceAgg(n *Node, f consumerFactory) []tailJob {
 		})
 }
 
-// producePartitionedAgg compiles the partitioned aggregation alternative
+// partAgg is the phase-1 state of the partitioned aggregation alternative
 // (Memarzia et al., "Toward Efficient In-memory Data Analytics on NUMA
-// Systems"): phase 1 routes every group straight into one of
-// aggNumPartitions per-worker tables selected by the group hash — no
-// capacity cap and no separate spill path, trading per-worker memory for
-// never evicting hot keys; phase 2 is the shared engine's. The
-// physical-selection phase picks it for high group cardinality, where the
-// shared table's capacity cap would spill most keys as single-tuple
-// partials anyway.
+// Systems"): every group goes straight into one of aggNumPartitions
+// per-worker tables selected by the group hash — no capacity cap and no
+// separate spill path, trading per-worker memory for never evicting hot
+// keys. parts[worker][partition] is a private table: workers never share
+// tables in phase 1, partitions never share workers in phase 2.
+type partAgg struct {
+	rt    *aggRuntime
+	parts [][]*groupTable
+	rowW  int64 // modelled bytes of one new group
+}
+
+func (c *compiler) newPartAgg(n *Node) *partAgg {
+	return &partAgg{rt: c.newAggRuntime(n), parts: make([][]*groupTable, c.workers), rowW: int64(rowWidth(n.out))}
+}
+
+// group finds or creates the key's group in its partition's table.
+func (p *partAgg) group(e *Ectx, h uint64, key []byte) (*groupTable, int) {
+	wid := e.W.ID
+	if p.parts[wid] == nil {
+		p.parts[wid] = make([]*groupTable, aggNumPartitions)
+	}
+	pid := aggPartition(h)
+	tab := p.parts[wid][pid]
+	if tab == nil {
+		tab = newGroupTable(p.rt.aggs)
+		p.parts[wid][pid] = tab
+	}
+	g := tab.find(h, key)
+	if g < 0 {
+		g = tab.insert(h, key)
+		e.writeBytes += p.rowW
+	}
+	return tab, g
+}
+
+func (p *partAgg) spill(*Ectx, uint64, []byte, []float64) {
+	panic("engine: the partitioned aggregation has no cold keys")
+}
+
+// producePartitionedAgg compiles the partitioned aggregation: partAgg's
+// phase 1, then the shared engine's phase 2. The physical-selection phase
+// picks it for high group cardinality, where the shared table's capacity
+// cap would spill most keys as single-tuple partials anyway.
 func (c *compiler) producePartitionedAgg(n *Node, f consumerFactory) []tailJob {
 	if len(n.groups) == 0 {
 		panic("engine: partitioned aggregation requires group keys")
 	}
-	rt := c.newAggRuntime(n)
-	// parts[worker][partition] is a private table: workers never share
-	// tables in phase 1, partitions never share workers in phase 2.
-	parts := make([][]*groupTable, c.workers)
-	rowW := int64(rowWidth(n.out))
+	p := c.newPartAgg(n)
+	tails := n.child.produce(c, func(pc *pipeCtx) consumer { return p.rt.consumer(pc, p) })
 
-	tails := n.child.produce(c, func(pc *pipeCtx) consumer {
-		return consumer{row: rt.sink(pc, func(e *Ectx, h uint64, tuple []float64) {
-			wid := e.W.ID
-			if parts[wid] == nil {
-				parts[wid] = make([]*groupTable, aggNumPartitions)
-			}
-			pid := aggPartition(h)
-			tab := parts[wid][pid]
-			if tab == nil {
-				tab = newGroupTable(rt.aggs)
-				parts[wid][pid] = tab
-			}
-			g := tab.find(h, e.key)
-			if g < 0 {
-				g = tab.insert(h, e.key)
-				e.writeBytes += rowW
-			}
-			tab.merge(g, tuple, 1)
-		})}
-	})
-
-	return rt.phase2("aggregate-part", tails, f, nil,
+	return p.rt.phase2("aggregate-part", tails, f, nil,
 		func() int64 {
 			var total int64
-			for wid := range parts {
-				for _, tab := range parts[wid] {
+			for wid := range p.parts {
+				for _, tab := range p.parts[wid] {
 					if tab != nil {
 						total += int64(tab.len())
 					}
@@ -477,9 +513,9 @@ func (c *compiler) producePartitionedAgg(n *Node, f consumerFactory) []tailJob {
 			return total
 		},
 		func(wid, pid int) *groupRows {
-			if parts[wid] == nil || parts[wid][pid] == nil {
+			if p.parts[wid] == nil || p.parts[wid][pid] == nil {
 				return nil
 			}
-			return &parts[wid][pid].groupRows
+			return &p.parts[wid][pid].groupRows
 		})
 }

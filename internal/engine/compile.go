@@ -16,13 +16,13 @@ const exprNodeWeight = 0.25
 type tailJob = *dispatch.PipelineJob
 
 // consumer is what the downstream chain of a pipeline offers its source:
-// the per-row entry every operator has and, from a consumer that can work
-// on column slices itself (the aggregation sink, a hash-join probe whose
-// keys are columns), a batch entry taking one filtered scan chunk at a
-// time. Only a column-sourced pipeline uses the batch entry, and only as
-// far down as every operator offers one: a probe hands its output batch to
-// a batch consumer below it; Filter and Map wrap their parent's row entry
-// and so offer none.
+// the per-row entry or, from a consumer that can work on column slices
+// itself (the aggregation sink, a hash-join probe whose keys are columns,
+// the join build), a batch entry taking one filtered scan chunk at a time.
+// Only a column-sourced pipeline uses the batch entry, and only as far down
+// as every operator offers one: a probe hands its output batch to a batch
+// consumer below it; Filter and Map wrap their parent's row entry and so
+// offer none. A sink offers the one entry its pipeline will call.
 type consumer struct {
 	row   rowFn
 	batch func(e *Ectx, b *colBatch)
@@ -357,13 +357,13 @@ func (c *compiler) scanPipe(regs []Reg, srcIdx []int, filter *Expr, f consumerFa
 // shares. The morsel is cut into chunks of scanChunkRows; per chunk the
 // filter's kernels narrow a selection (an unfiltered scan has none and
 // stays dense), then either the consumer takes the chunk whole through its
-// batch entry — the aggregation sink, or a chain of hash-join probes, the
-// last of which does the register fill for the rows that leave it — or the
-// registers some consumer resolved are filled for each surviving row and
-// the row entry runs. Filter-only columns never become Vals. The cost
-// model is charged what the row-at-a-time loop charged:
-// rowW CPU units per scanned row and the sequential read of every listed
-// column.
+// batch entry — the aggregation sink, the join build, or a chain of
+// hash-join probes ending in one of those or in a register fill for the
+// rows that leave it — or the registers some consumer resolved are filled
+// for each surviving row and the row entry runs. Filter-only columns never
+// become Vals. The cost model is charged what the row-at-a-time loop
+// charged: rowW CPU units per scanned row and the sequential read of every
+// listed column.
 func scanMorselBody(pc *pipeCtx, kernels []selKernel, rowW float64, cons consumer) func(*dispatch.Worker, storage.Morsel) {
 	var fill regFill
 	if cons.batch == nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -681,6 +682,34 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 			if got.S != c.v.S {
 				t.Errorf("str roundtrip %q -> %q", c.v.S, got.S)
 			}
+		}
+	}
+}
+
+// TestFloatGroupKeyRoundtrip: a float group key decodes to exactly the
+// value encoded, below 1e-4 and past int64's range too, and the values SQL
+// equality cannot tell apart share one key: -0 with +0 (it decodes as +0),
+// and every NaN with every other.
+func TestFloatGroupKeyRoundtrip(t *testing.T) {
+	otherNaN := math.Float64frombits(math.Float64bits(math.NaN()) | 1)
+	for _, v := range []float64{0, math.Copysign(0, -1), math.NaN(), otherNaN, math.Inf(1), math.Inf(-1),
+		1e15, -1e15, 1e-5, 1.23456789, 1e300, math.SmallestNonzeroFloat64} {
+		key := encodeVal(nil, TFloat, Val{F: v})
+		got, rest := decodeVal(key, TFloat)
+		if len(rest) != 0 {
+			t.Errorf("%v: decode left %d bytes", v, len(rest))
+		}
+		switch {
+		case math.IsNaN(v):
+			if !math.IsNaN(got.F) || !bytes.Equal(key, encodeVal(nil, TFloat, Val{F: math.NaN()})) {
+				t.Errorf("NaN %x: decodes as %v, key %x", math.Float64bits(v), got.F, key)
+			}
+		case v == 0:
+			if math.Float64bits(got.F) != 0 || !bytes.Equal(key, encodeVal(nil, TFloat, Val{F: 0})) {
+				t.Errorf("%v: decodes as %v, key %x", v, got.F, key)
+			}
+		case got.F != v:
+			t.Errorf("%v decodes as %v", v, got.F)
 		}
 	}
 }

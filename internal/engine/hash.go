@@ -48,20 +48,25 @@ func mixBytes[T string | []byte](h uint64, s T) uint64 {
 	return h
 }
 
-// floatWord is the word a float key is hashed as: -0 == +0 must hash
-// alike.
+// floatWord is the word a float key is hashed and group-encoded as: -0 ==
+// +0 must hash alike, and every NaN is one group key.
 func floatWord(f float64) uint64 {
-	if f == 0 {
+	switch {
+	case f == 0:
 		return 0
+	case f != f:
+		return canonicalNaN
 	}
 	return math.Float64bits(f)
 }
 
+var canonicalNaN = math.Float64bits(math.NaN())
+
 // hashVals hashes a typed key tuple. It is the one definition the hash
 // join's build and probe sides share: equal keys (by keysEqual) hash
-// equally, including +0 and -0. A batch probe folds the same three steps
-// — seed, one mix per key column, finishHash — over a chunk's key vectors
-// (probe.hashKeys) and must agree with it bit for bit.
+// equally, including +0 and -0. The batch probe and the batch build fold
+// the same three steps — seed, one mix per key column, finishHash — over a
+// chunk's key columns (hashKeys) and must agree with it bit for bit.
 func hashVals(types []Type, kv []Val) uint64 {
 	h := uint64(hashSeed)
 	for i, t := range types {

@@ -42,12 +42,10 @@ func decodeRef(r hashtable.Ref) (worker, row int) {
 	return int(uint64(r)>>32) - 1, int(uint32(uint64(r)))
 }
 
-// produceJoin compiles build side then probe side. The build is the
-// paper's two-phase algorithm: phase 1 materializes filtered build tuples
-// into per-worker NUMA-local areas (no synchronization); phase 2 scans
-// those areas morsel-wise and CAS-inserts pointers into a perfectly sized
-// global hash table.
-func (c *compiler) produceJoin(n *Node, f consumerFactory) []tailJob {
+// newJoinRuntime lays out the build areas of join n for the given number
+// of workers: the build schema, the key columns, then #hash, #next and
+// #mark.
+func newJoinRuntime(n *Node, workers int) *joinRuntime {
 	rt := &joinRuntime{
 		kind:        n.joinKind,
 		buildSchema: n.build.out,
@@ -74,53 +72,37 @@ func (c *compiler) produceJoin(n *Node, f consumerFactory) []tailJob {
 		storage.ColDef{Name: "#next", Type: storage.I64},
 		storage.ColDef{Name: "#mark", Type: storage.I64},
 	)
-	rt.areas = storage.NewAreaSet(areaSchema, c.workers)
+	rt.areas = storage.NewAreaSet(areaSchema, workers)
+	return rt
+}
+
+// entryBytes is the modelled size of one build tuple.
+func (rt *joinRuntime) entryBytes() int64 {
+	return int64(rowWidth(rt.buildSchema)) + int64(8*(len(rt.keyTypes)+3))
+}
+
+// produceJoin compiles build side then probe side. The build is the
+// paper's two-phase algorithm: phase 1 materializes filtered build tuples
+// into per-worker NUMA-local areas (no synchronization); phase 2 scans
+// those areas morsel-wise and CAS-inserts pointers into a perfectly sized
+// global hash table.
+func (c *compiler) produceJoin(n *Node, f consumerFactory) []tailJob {
+	rt := newJoinRuntime(n, c.workers)
 	jc := &joinCompiled{rt: rt}
 	c.joins[n] = jc
 
-	// ---- Build phase 1: materialize into NUMA-local areas.
-	buildKeys := n.buildKeys
+	// ---- Build phase 1: materialize into NUMA-local areas, a chunk at a
+	// time where the build pipeline works on chunks, else a row at a time.
 	planDriven := c.sess.PlanDriven
+	charge := buildCharge{cpu: 2, bytes: rt.entryBytes(), planDriven: planDriven}
+	for _, bk := range n.buildKeys {
+		charge.cpu += bk.weight() * exprNodeWeight
+	}
 	buildTails := n.build.produce(c, func(pc *pipeCtx) consumer {
-		keyFns := make([]evalFn, len(buildKeys))
-		keyW := 0.0
-		for i, bk := range buildKeys {
-			keyFns[i], _ = bk.compile(pc)
-			keyW += bk.weight() * exprNodeWeight
+		if batch := rt.batchBuild(pc, n.buildKeys, charge); batch != nil {
+			return consumer{batch: batch}
 		}
-		// The build schema columns resolve by name in this pipeline.
-		srcIdx := make([]int, rt.nBuildCols)
-		for i, r := range rt.buildSchema {
-			srcIdx[i], _ = pc.resolve(r.Name)
-		}
-		types := rt.keyTypes
-		width := rowWidth(rt.buildSchema) + float64(8*(len(types)+3))
-		sidx := pc.addScratch(len(types))
-		return consumer{row: func(e *Ectx) {
-			a := rt.areas.ForWorker(e.W.ID, e.W.Socket())
-			cols := a.Cols
-			for i, si := range srcIdx {
-				appendVal(cols[i], rt.buildSchema[i].Type, e.Regs[si])
-			}
-			kv := e.scratch[sidx]
-			for i, fn := range keyFns {
-				kv[i] = fn(e)
-				appendVal(cols[rt.idxKey+i], types[i], kv[i])
-			}
-			h := hashVals(types, kv)
-			cols[rt.idxHash].AppendI64(int64(h))
-			cols[rt.idxNext].AppendI64(0)
-			cols[rt.idxMark].AppendI64(0)
-			e.cpuUnits += 2 + keyW
-			e.writeBytes += int64(width)
-			if planDriven {
-				// Volcano emulation: an exchange operator
-				// repartitions build tuples by hash across
-				// threads — an extra copy that crosses sockets.
-				e.writeBytes += int64(width)
-				e.shuffleBytes += int64(width)
-			}
-		}}
+		return consumer{row: rt.rowBuild(pc, n.buildKeys, charge)}
 	})
 
 	if planDriven {
@@ -136,8 +118,7 @@ func (c *compiler) produceJoin(n *Node, f consumerFactory) []tailJob {
 		func() []*storage.Partition {
 			total := rt.areas.TotalRows()
 			rt.ht = hashtable.New(total)
-			entryBytes := int64(rowWidth(rt.buildSchema)) + int64(8*(len(rt.keyTypes)+3))
-			rt.cacheResident = rt.ht.SizeBytes()+int64(total)*entryBytes <= c.sess.Machine.Cost.CacheBytes
+			rt.cacheResident = rt.ht.SizeBytes()+int64(total)*rt.entryBytes() <= c.sess.Machine.Cost.CacheBytes
 			return rt.areas.Partitions()
 		},
 		func(w *dispatch.Worker, m storage.Morsel) {
@@ -164,6 +145,147 @@ func (c *compiler) produceJoin(n *Node, f consumerFactory) []tailJob {
 	})
 	jc.probeTails = tails
 	return tails
+}
+
+// buildCharge is what phase 1 charges per materialized build row: CPU for
+// the row and its key expressions, and the bytes it writes.
+type buildCharge struct {
+	cpu        float64
+	bytes      int64
+	planDriven bool
+}
+
+func (ch buildCharge) rows(e *Ectx, n int) {
+	e.cpuUnits += ch.cpu * float64(n)
+	e.writeBytes += ch.bytes * int64(n)
+	if ch.planDriven {
+		// Volcano emulation: an exchange operator repartitions build
+		// tuples by hash across threads — an extra copy that crosses
+		// sockets.
+		e.writeBytes += ch.bytes * int64(n)
+		e.shuffleBytes += ch.bytes * int64(n)
+	}
+}
+
+// rowBuild returns phase 1's row entry: it appends the row's build schema
+// registers and its evaluated keys, hashed by hashVals.
+func (rt *joinRuntime) rowBuild(pc *pipeCtx, keys []*Expr, charge buildCharge) rowFn {
+	keyFns := make([]evalFn, len(keys))
+	for i, bk := range keys {
+		keyFns[i], _ = bk.compile(pc)
+	}
+	// The build schema columns resolve by name in this pipeline.
+	srcIdx := make([]int, rt.nBuildCols)
+	for i, r := range rt.buildSchema {
+		srcIdx[i], _ = pc.resolve(r.Name)
+	}
+	types := rt.keyTypes
+	sidx := pc.addScratch(len(types))
+	return func(e *Ectx) {
+		cols := rt.areas.ForWorker(e.W.ID, e.W.Socket()).Cols
+		for i, si := range srcIdx {
+			appendVal(cols[i], rt.buildSchema[i].Type, e.Regs[si])
+		}
+		kv := e.scratch[sidx]
+		for i, fn := range keyFns {
+			kv[i] = fn(e)
+			appendVal(cols[rt.idxKey+i], types[i], kv[i])
+		}
+		h := hashVals(types, kv)
+		cols[rt.idxHash].AppendI64(int64(h))
+		cols[rt.idxNext].AppendI64(0)
+		cols[rt.idxMark].AppendI64(0)
+		charge.rows(e, 1)
+	}
+}
+
+// batchBuild returns phase 1's entry for a chunk, or nil when pc hands on
+// rows or a build key is computed. Each area column — the build schema,
+// then the keys — is gathered for the selected rows straight from its
+// source, the scanned partition or an earlier probe's build tuples (a nil
+// ref reading as zero); the key hashes go into #hash from the loop the
+// batch probe hashes with, and #next and #mark start at zero. Rows land in
+// the order the row consumer would append them.
+func (rt *joinRuntime) batchBuild(pc *pipeCtx, keys []*Expr, charge buildCharge) func(e *Ectx, b *colBatch) {
+	if pc.scanCols == nil || pc.rowOnly {
+		return nil
+	}
+	srcs := make([]regSrc, rt.idxHash)
+	for i, r := range rt.buildSchema {
+		k, _ := pc.lookup(r.Name)
+		srcs[i] = pc.src(k)
+	}
+	for i, bk := range keys {
+		if bk.kind != eCol {
+			return nil
+		}
+		k, _ := pc.lookup(bk.name)
+		srcs[rt.idxKey+i] = pc.src(k)
+	}
+	for _, src := range srcs {
+		if src.col < 0 {
+			return nil
+		}
+	}
+	return func(e *Ectx, b *colBatch) {
+		n := b.rows()
+		if n == 0 {
+			return
+		}
+		sel := b.sel
+		if sel == nil {
+			sel = identitySel[:n]
+		}
+		cols := rt.areas.ForWorker(e.W.ID, e.W.Socket()).Cols
+		for i, src := range srcs {
+			gather(cols[i], src, b, sel)
+		}
+		at := cols[rt.idxHash].Extend(n)
+		hashKeys(rt.keyTypes, srcs[rt.idxKey:], b, sel, cols[rt.idxHash].Ints[at:])
+		cols[rt.idxNext].Extend(n)
+		cols[rt.idxMark].Extend(n)
+		charge.rows(e, n)
+	}
+}
+
+// gather appends src's value for each selected row of b to dst.
+func gather(dst *storage.Column, src regSrc, b *colBatch, sel []int32) {
+	at := dst.Extend(len(sel))
+	if src.probe == nil {
+		switch dst.Type {
+		case storage.I64:
+			gatherSel(dst.Ints[at:], b.ints(src.col), sel)
+		case storage.F64:
+			gatherSel(dst.Flts[at:], b.flts(src.col), sel)
+		default:
+			col := b.strs(src.col)
+			for j, r := range sel {
+				dst.SetStr(at+j, col[r])
+			}
+		}
+		return
+	}
+	areas := src.probe.rt.areas.Areas
+	for j, ref := range b.refs[src.probe.slot][:len(sel)] {
+		if ref == 0 {
+			continue // Extend wrote the zero value
+		}
+		aw, row := decodeRef(ref)
+		switch c := areas[aw].Cols[src.col]; dst.Type {
+		case storage.I64:
+			dst.Ints[at+j] = c.Ints[row]
+		case storage.F64:
+			dst.Flts[at+j] = c.Flts[row]
+		default:
+			dst.SetStr(at+j, c.Strs[row])
+		}
+	}
+}
+
+func gatherSel[T any](out, col []T, sel []int32) {
+	for j, r := range sel {
+		out[j] = col[r]
+	}
 }
 
 // probe is one hash join's probe side compiled into one pipeline. It has
@@ -424,7 +546,7 @@ func (p *probe) batchEntry(e *Ectx, in *colBatch) {
 	}
 	ps := e.probes[p.slot]
 	hash, head := ps.hash[:n], ps.head[:n]
-	p.hashKeys(in, sel, hash)
+	hashKeys(p.rt.keyTypes, p.keys, in, sel, hash)
 	p.chargeLookups(e, n)
 
 	ht := p.rt.ht
@@ -512,14 +634,16 @@ func (p *probe) batchEntry(e *Ectx, in *colBatch) {
 	}
 }
 
-// hashKeys computes hashVals of every selected row's key, one loop per key
-// column.
-func (p *probe) hashKeys(b *colBatch, sel []int32, hash []uint64) {
+// hashKeys computes hashVals of every selected row's key (srcs, typed
+// types), one loop per key column, into hash — the probe's vector, or a
+// build area's #hash column.
+func hashKeys[H uint64 | int64](types []Type, srcs []regSrc, b *colBatch, sel []int32, hash []H) {
+	seed := uint64(hashSeed)
 	for j := range hash {
-		hash[j] = hashSeed
+		hash[j] = H(seed)
 	}
-	for i, src := range p.keys {
-		t := p.rt.keyTypes[i]
+	for i, src := range srcs {
+		t := types[i]
 		if src.probe != nil {
 			// A payload column of an earlier probe: gathered through that
 			// probe's refs, a nil ref reading as the zero value.
@@ -532,11 +656,11 @@ func (p *probe) hashKeys(b *colBatch, sel []int32, hash []uint64) {
 				}
 				switch t {
 				case TInt:
-					hash[j] = mixWord(hash[j], uint64(v.I))
+					hash[j] = H(mixWord(uint64(hash[j]), uint64(v.I)))
 				case TFloat:
-					hash[j] = mixWord(hash[j], floatWord(v.F))
+					hash[j] = H(mixWord(uint64(hash[j]), floatWord(v.F)))
 				default:
-					hash[j] = mixBytes(hash[j], v.S)
+					hash[j] = H(mixBytes(uint64(hash[j]), v.S))
 				}
 			}
 			continue
@@ -545,22 +669,22 @@ func (p *probe) hashKeys(b *colBatch, sel []int32, hash []uint64) {
 		case TInt:
 			col := b.ints(src.col)
 			for j, r := range sel {
-				hash[j] = mixWord(hash[j], uint64(col[r]))
+				hash[j] = H(mixWord(uint64(hash[j]), uint64(col[r])))
 			}
 		case TFloat:
 			col := b.flts(src.col)
 			for j, r := range sel {
-				hash[j] = mixWord(hash[j], floatWord(col[r]))
+				hash[j] = H(mixWord(uint64(hash[j]), floatWord(col[r])))
 			}
 		default:
 			col := b.strs(src.col)
 			for j, r := range sel {
-				hash[j] = mixBytes(hash[j], col[r])
+				hash[j] = H(mixBytes(uint64(hash[j]), col[r]))
 			}
 		}
 	}
 	for j, h := range hash {
-		hash[j] = finishHash(h)
+		hash[j] = H(finishHash(uint64(h)))
 	}
 }
 

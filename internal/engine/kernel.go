@@ -14,11 +14,12 @@ import (
 // fused scan filter is split into conjuncts, each compiled to a selection
 // kernel that narrows a per-worker []int32 of surviving row offsets;
 // registers are filled afterwards, for the survivors only (see
-// scanMorselBody). A consumer that can work on column slices itself — the
-// aggregation sink — takes the chunk and its selection as a colBatch and
+// scanMorselBody). A consumer that can work on column slices itself takes
+// the chunk and its selection as a colBatch: the aggregation sink, which
 // evaluates its expressions as vector kernels (vecProg below); a run of
-// hash-join probes takes it, narrows or expands its selection, and hands it
-// on with one build-tuple ref per selected row (join.go).
+// hash-join probes, which narrows or expands the selection and hands the
+// chunk on with one build-tuple ref per selected row; and the join build,
+// which gathers it into its storage area (join.go).
 //
 // The kernels are a second reading of the row evaluator in expr.go and
 // must agree with it bit for bit: compileCmp's three-way comparator makes
@@ -43,19 +44,20 @@ var identitySel = func() (s [scanChunkRows]int32) {
 }()
 
 // scanScratch is the working memory of one worker inside one scan morsel:
-// the selection the filter kernels narrow, for a batch consumer the group
-// of each selected row and its vectors, and for a chain of batch probes
-// each probe's vectors. A morsel borrows it from a pool shared by all
-// queries, so a scan allocates nothing per morsel and, in the steady state,
-// nothing per query either; the probe vectors are attached the first time a
-// pooled object serves a pipeline with that many probes, so scans without
-// joins never carry them.
+// the selection the filter kernels narrow, for the aggregation sink the
+// group of each selected row, its vectors and the inputs of a row it
+// places, and for a chain of batch probes each probe's vectors. A morsel
+// borrows it from a pool shared by all queries, so a scan allocates nothing
+// per morsel and, in the steady state, nothing per query either; the probe
+// vectors are attached the first time a pooled object serves a pipeline
+// with that many probes, so scans without joins never carry them.
 type scanScratch struct {
 	// Pointers first: the collector scans an object only up to its last
 	// pointer word, which keeps it out of the arrays below.
 	batch  colBatch        // the chunk being worked on
 	vecBuf []float64       // backing of the vectors, scanChunkRows per slot
 	vecs   [][]float64     // current vector of each vecProg slot
+	tuple  []float64       // one row's aggregate inputs
 	probes []*probeScratch // one per batch probe of the pipeline
 	refBuf []hashtable.Ref // backing of the probes' output ref lists
 

@@ -387,6 +387,10 @@ func exactRows(r *Result) []string {
 // an operator between the scan and the sink and so forces the row entry;
 // the extra column is projected away again.
 func viaRowSink(n *Node, groups []NamedExpr, aggs []AggDef) *Node {
+	return viaRowSinkAlgo(n, groups, aggs, AggShared)
+}
+
+func viaRowSinkAlgo(n *Node, groups []NamedExpr, aggs []AggDef, algo AggAlgo) *Node {
 	var names []string
 	for _, g := range groups {
 		names = append(names, g.Name)
@@ -394,45 +398,58 @@ func viaRowSink(n *Node, groups []NamedExpr, aggs []AggDef) *Node {
 	for _, a := range aggs {
 		names = append(names, a.Name)
 	}
-	return n.Map("$one", ConstI(1)).GroupBy(groups, aggs).Project(names...)
+	return n.Map("$one", ConstI(1)).GroupBy(groups, aggs).WithAggAlgo(algo).Project(names...)
 }
 
+// aggAlgos are both engines' phase 1, which share the batch and the row
+// sink; the partitioned one needs group keys.
+var aggAlgos = []AggAlgo{AggShared, AggPartitioned}
+
 // TestBatchSinkMatchesRowSink is the differential for part three: every
-// shape, under filters keeping nothing, one group, and most rows, with the
-// pre-aggregation table at its default and shrunk until most keys take
-// the cold path, on the simulator and on one real worker — byte for byte.
+// shape, under filters keeping nothing, one group, and most rows, through
+// both engines — the shared one with its pre-aggregation table at its
+// default and shrunk until most keys take the cold path — on the simulator
+// and on one real worker, byte for byte.
 func TestBatchSinkMatchesRowSink(t *testing.T) {
 	old := DefaultPreAggCapacity
 	defer func() { DefaultPreAggCapacity = old }()
 	rng := rand.New(rand.NewSource(3))
 	tbl := sinkTable(rng, 9000, 300)
 	filters := []*Expr{nil, Lt(Col("k"), ConstI(0)), Eq(Col("k"), ConstI(17)), And(Ge(Col("k"), ConstI(20)), Like(Col("tag"), "t%"))}
-	for _, capacity := range []int{old, 0, 1, 5} {
-		DefaultPreAggCapacity = capacity
-		for si, shape := range sinkShapes() {
-			for fi, pred := range filters {
-				for _, mode := range []Mode{Sim, Real} {
-					s := newTestSession(mode)
-					s.Dispatch.Workers, s.Dispatch.MorselRows = 1, 1500
-					scan := func(p *Plan) *Node {
-						node := p.Scan(tbl, sinkCols...)
-						if pred != nil {
-							node = node.Filter(pred)
+	for _, algo := range aggAlgos {
+		for _, capacity := range []int{old, 0, 1, 5} {
+			if algo == AggPartitioned && capacity != old {
+				continue // it has no capacity
+			}
+			DefaultPreAggCapacity = capacity
+			for si, shape := range sinkShapes() {
+				if algo == AggPartitioned && len(shape.groups) == 0 {
+					continue
+				}
+				for fi, pred := range filters {
+					for _, mode := range []Mode{Sim, Real} {
+						s := newTestSession(mode)
+						s.Dispatch.Workers, s.Dispatch.MorselRows = 1, 1500
+						scan := func(p *Plan) *Node {
+							node := p.Scan(tbl, sinkCols...)
+							if pred != nil {
+								node = node.Filter(pred)
+							}
+							return node
 						}
-						return node
-					}
-					p := NewPlan("batch")
-					p.Return(scan(p).GroupBy(shape.groups, shape.aggs))
-					got, _ := s.Run(p)
-					p = NewPlan("rows")
-					p.Return(viaRowSink(scan(p), shape.groups, shape.aggs))
-					want, _ := s.Run(p)
-					if len(shape.groups) == 0 && got.NumRows() != 1 {
-						t.Errorf("shape %d filter %d: global aggregate returned %d rows", si, fi, got.NumRows())
-					}
-					if g, w := exactRows(got), exactRows(want); !slices.Equal(g, w) {
-						t.Errorf("capacity %d shape %d filter %d mode %v: batch sink differs from row sink\n got %v\nwant %v",
-							capacity, si, fi, mode, firstDiff(g, w), firstDiff(w, g))
+						p := NewPlan("batch")
+						p.Return(scan(p).GroupBy(shape.groups, shape.aggs).WithAggAlgo(algo))
+						got, _ := s.Run(p)
+						p = NewPlan("rows")
+						p.Return(viaRowSinkAlgo(scan(p), shape.groups, shape.aggs, algo))
+						want, _ := s.Run(p)
+						if len(shape.groups) == 0 && got.NumRows() != 1 {
+							t.Errorf("shape %d filter %d: global aggregate returned %d rows", si, fi, got.NumRows())
+						}
+						if g, w := exactRows(got), exactRows(want); !slices.Equal(g, w) {
+							t.Errorf("%v capacity %d shape %d filter %d mode %v: batch sink differs from row sink\n got %v\nwant %v",
+								algo, capacity, si, fi, mode, firstDiff(g, w), firstDiff(w, g))
+						}
 					}
 				}
 			}
@@ -450,9 +467,10 @@ func firstDiff(a, b []string) string {
 	return fmt.Sprintf("(%d rows, all present)", len(a))
 }
 
-// TestBatchSinkAcrossWorkers runs the grouped shapes on several real
-// workers (the race job's target): per-worker sums now depend on which
-// worker took which morsel, so floats are compared with a tolerance.
+// TestBatchSinkAcrossWorkers runs a grouped shape through both engines on
+// several real workers (the race job's target): per-worker sums now depend
+// on which worker took which morsel, so floats are compared with a
+// tolerance.
 func TestBatchSinkAcrossWorkers(t *testing.T) {
 	old := DefaultPreAggCapacity
 	defer func() { DefaultPreAggCapacity = old }()
@@ -474,21 +492,23 @@ func TestBatchSinkAcrossWorkers(t *testing.T) {
 		}
 	}
 	tbl := b.Build(storage.NUMAAware, 4)
-	for _, capacity := range []int{old, 3} {
-		DefaultPreAggCapacity = capacity
-		for _, workers := range []int{2, 8} {
-			s := newTestSession(Real)
-			s.Dispatch.Workers, s.Dispatch.MorselRows = workers, 700
-			p := NewPlan("q")
-			p.Return(p.Scan(tbl, "k", "tag", "v").Filter(Ge(Col("k"), ConstI(10))).
-				GroupBy([]NamedExpr{N("k", Col("k")), N("tag", Col("tag"))}, allAggs))
-			res, _ := s.Run(p)
-			if res.NumRows() != len(want) {
-				t.Fatalf("capacity %d, %d workers: %d groups, want %d", capacity, workers, res.NumRows(), len(want))
-			}
-			for _, row := range res.Rows() {
-				if o := want[fmt.Sprintf("%d|%s", row[0].I, row[1].S)]; o == nil || !o.matches(row, 2) {
-					t.Fatalf("capacity %d, %d workers: group (%d, %s) wrong", capacity, workers, row[0].I, row[1].S)
+	for _, algo := range aggAlgos {
+		for _, capacity := range []int{old, 3} {
+			DefaultPreAggCapacity = capacity
+			for _, workers := range []int{2, 8} {
+				s := newTestSession(Real)
+				s.Dispatch.Workers, s.Dispatch.MorselRows = workers, 700
+				p := NewPlan("q")
+				p.Return(p.Scan(tbl, "k", "tag", "v").Filter(Ge(Col("k"), ConstI(10))).
+					GroupBy([]NamedExpr{N("k", Col("k")), N("tag", Col("tag"))}, allAggs).WithAggAlgo(algo))
+				res, _ := s.Run(p)
+				if res.NumRows() != len(want) {
+					t.Fatalf("%v capacity %d, %d workers: %d groups, want %d", algo, capacity, workers, res.NumRows(), len(want))
+				}
+				for _, row := range res.Rows() {
+					if o := want[fmt.Sprintf("%d|%s", row[0].I, row[1].S)]; o == nil || !o.matches(row, 2) {
+						t.Fatalf("%v capacity %d, %d workers: group (%d, %s) wrong", algo, capacity, workers, row[0].I, row[1].S)
+					}
 				}
 			}
 		}
@@ -636,11 +656,14 @@ func TestLongStringGroupKey(t *testing.T) {
 	}
 }
 
-// TestScanMorselAllocatesNothing: selection, vectors and group ids are
-// borrowed from the scratch pool, so once the worker's context and the
-// groups exist a morsel through filter kernels and the batch sink
-// allocates nothing.
+// TestScanMorselAllocatesNothing: selection, vectors, group ids and the
+// placed rows' inputs are borrowed from the scratch pool, so once the
+// worker's context and the groups exist a morsel through filter kernels
+// and the batch sink of either engine allocates nothing — the shared
+// engine's table and cold path, and the partitioned engine's tables.
 func TestScanMorselAllocatesNothing(t *testing.T) {
+	old := DefaultPreAggCapacity
+	defer func() { DefaultPreAggCapacity = old }()
 	tbl := chunkTable(3*scanChunkRows + 7)
 	s := newTestSession(Sim)
 	c := &compiler{sess: s, workers: 1, sockets: s.Machine.Topo.Sockets}
@@ -649,18 +672,37 @@ func TestScanMorselAllocatesNothing(t *testing.T) {
 		Filter(And(Eq(Col("alt"), ConstI(0)), Ne(Col("tag"), ConstS("yy")), Like(Col("tag"), "%"))).
 		GroupBy([]NamedExpr{N("tag", Col("tag"))}, []AggDef{Count("n"), Sum("s", Mul(Col("v"), Col("v"))), MaxOf("m", Col("k"))})
 	scan := agg.child
-	sa := c.newSharedAgg(agg)
-	_, body := c.scanPipe(scan.out, scan.scanSrc, scan.filter, func(pc *pipeCtx) consumer {
-		return consumer{batch: sa.batchSink(pc)}
-	})
 	d := dispatch.NewDispatcher(s.Machine, dispatch.Config{Workers: 1})
 	w := dispatch.NewSimRunner(d, dispatch.SimConfig{}).Workers()[0]
 	m := storage.Morsel{Part: tbl.Parts[0], Begin: 0, End: tbl.Parts[0].Rows()}
-	body(w, m) // creates the context and the groups
-	if allocs := morselAllocs(20, func() { body(w, m) }); allocs != 0 {
-		t.Errorf("a steady-state morsel allocates %v times", allocs)
-	}
-	if got := sa.locals[0].len(); got != 2 {
-		t.Errorf("%d groups, want 2", got)
+	for _, capacity := range []int{old, 1} {
+		DefaultPreAggCapacity = capacity
+		sa := c.newSharedAgg(agg)
+		pa := c.newPartAgg(agg)
+		for _, eng := range []aggEngine{sa, pa} {
+			_, body := c.scanPipe(scan.out, scan.scanSrc, scan.filter, func(pc *pipeCtx) consumer {
+				return consumer{batch: sa.rt.batchSink(pc, eng)}
+			})
+			body(w, m) // creates the context and the groups
+			if allocs := morselAllocs(20, func() {
+				if capacity == 1 {
+					for i := range sa.spills[0] {
+						sa.spills[0][i].reset() // the cold key's spill run would grow
+					}
+				}
+				body(w, m)
+			}); allocs != 0 {
+				t.Errorf("%T, capacity %d: a steady-state morsel allocates %v times", eng, capacity, allocs)
+			}
+		}
+		groups := 0
+		for _, tab := range pa.parts[0] {
+			if tab != nil {
+				groups += tab.len()
+			}
+		}
+		if got := sa.locals[0].len(); got != min(2, capacity) || groups != 2 {
+			t.Errorf("capacity %d: %d shared groups, %d partitioned ones; want %d and 2", capacity, got, groups, min(2, capacity))
+		}
 	}
 }

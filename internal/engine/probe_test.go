@@ -215,8 +215,9 @@ func (d *digestSink) total() (t rowDigest) {
 }
 
 // runInto compiles p the way Session.Run does, with the root's rows going
-// to f, and runs it to completion.
-func runInto(s *Session, p *Plan, f consumerFactory) {
+// to f, runs it to completion and returns the compiler, whose join state
+// the caller may inspect.
+func runInto(s *Session, p *Plan, f consumerFactory) *compiler {
 	c := &compiler{sess: s, q: dispatch.NewQuery(p.Name), workers: s.Dispatch.Workers, sockets: s.Machine.Topo.Sockets,
 		joins: make(map[*Node]*joinCompiled), mats: make(map[*Node]*matCompiled)}
 	p.root.produce(c, f)
@@ -226,6 +227,7 @@ func runInto(s *Session, p *Plan, f consumerFactory) {
 	} else {
 		dispatch.NewRealRunner(d).RunToCompletion(c.q)
 	}
+	return c
 }
 
 func digestOf(s *Session, p *Plan) rowDigest { return digestFaulty(s, p, func(*probe) {}) }
@@ -501,8 +503,8 @@ func hashFamilyColumns(gen func(i int) ([]Type, []Val), n int) ([]Type, []*stora
 
 // TestVectorHashMatchesHashVals: over the eleven key families of the hash
 // tests plus the values a vector loop could get wrong (±0, NaN, empty and
-// 8-byte-boundary strings), the batch probe's key hash equals hashVals row
-// for row — keys read from scan columns densely and through a selection,
+// 8-byte-boundary strings), the batch key hash (hashKeys) equals hashVals
+// row for row, into a probe's vector and a build's int64 column — keys read from scan columns densely and through a selection,
 // and keys gathered through an earlier probe's refs, nil refs included.
 func TestVectorHashMatchesHashVals(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
@@ -525,17 +527,20 @@ func TestVectorHashMatchesHashVals(t *testing.T) {
 			}
 			return hashVals(types, kv)
 		}
-		p := &probe{rt: &joinRuntime{keyTypes: types}}
+		var keys []regSrc
 		for c := range types {
-			p.keys = append(p.keys, regSrc{col: c})
+			keys = append(keys, regSrc{col: c})
 		}
 		hash := make([]uint64, scanChunkRows)
-		// Dense chunk at an offset, then every third row of it.
+		// Dense chunk at an offset, then every third row of it; the build
+		// hashes into its int64 #hash column.
 		b := &colBatch{cols: cols, base: 300, n: scanChunkRows}
-		p.hashKeys(b, identitySel[:b.n], hash)
+		hashKeys(types, keys, b, identitySel[:b.n], hash)
+		hashCol := make([]int64, scanChunkRows)
+		hashKeys(types, keys, b, identitySel[:b.n], hashCol)
 		for j, h := range hash {
-			if h != want(300+j) {
-				t.Fatalf("%s: dense row %d hashes %x, hashVals %x", name, j, h, want(300+j))
+			if h != want(300+j) || uint64(hashCol[j]) != h {
+				t.Fatalf("%s: dense row %d hashes %x (as int64 %x), hashVals %x", name, j, h, hashCol[j], want(300+j))
 			}
 		}
 		var sel []int32
@@ -543,7 +548,7 @@ func TestVectorHashMatchesHashVals(t *testing.T) {
 			sel = append(sel, int32(r))
 		}
 		b.sel = sel
-		p.hashKeys(b, sel, hash[:len(sel)])
+		hashKeys(types, keys, b, sel, hash[:len(sel)])
 		for j, r := range sel {
 			if hash[j] != want(300+int(r)) {
 				t.Fatalf("%s: selected row %d hashes %x, hashVals %x", name, r, hash[j], want(300+int(r)))
@@ -560,12 +565,12 @@ func TestVectorHashMatchesHashVals(t *testing.T) {
 				refs[j] = encodeRef(0, rng.Intn(n))
 			}
 		}
-		via := &probe{rt: &joinRuntime{keyTypes: types}}
+		var viaKeys []regSrc
 		for c := range types {
-			via.keys = append(via.keys, regSrc{probe: first, col: c})
+			viaKeys = append(viaKeys, regSrc{probe: first, col: c})
 		}
 		b = &colBatch{n: scanChunkRows, sel: identitySel[:], refs: [][]hashtable.Ref{refs}}
-		via.hashKeys(b, b.sel, hash)
+		hashKeys(types, viaKeys, b, b.sel, hash)
 		zero := hashVals(types, make([]Val, len(types)))
 		for j, ref := range refs {
 			w := zero
@@ -685,7 +690,9 @@ func TestLateFillBehindProbes(t *testing.T) {
 // TestProbeBatchAllocatesNothingPerMorsel: hashes, heads, candidates and
 // pair lists are borrowed from the scratch pool, so once the worker's
 // context, the hash table and the groups exist, a morsel through a chain
-// of batch probes — overflow flushes included — allocates nothing.
+// of batch probes — overflow flushes included — into either aggregation
+// engine allocates nothing. (A chain into a batch build is
+// TestBuildBatchAllocatesNothingPerMorsel.)
 func TestProbeBatchAllocatesNothingPerMorsel(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	builds := newProbeBuilds(rng)
@@ -696,29 +703,46 @@ func TestProbeBatchAllocatesNothingPerMorsel(t *testing.T) {
 		{kind: JoinSemi, build: builds.unique, keys: [][2]string{{"b0p", "bi"}}},
 		{kind: JoinOuterProbe, build: builds.unique, keys: keyShapes["string"], payload: []string{"bq", "br"}, residual: true},
 	}
-	p := chainPlan(fact, probeFilters["filtered"], steps, false, true)
-	c := &compiler{sess: s, q: dispatch.NewQuery(p.Name), workers: 1, sockets: s.Machine.Topo.Sockets,
-		joins: make(map[*Node]*joinCompiled), mats: make(map[*Node]*matCompiled)}
-	agg := p.root
-	sa := c.newSharedAgg(agg)
-	var chain *pipeCtx
-	tails := agg.child.produce(c, func(pc *pipeCtx) consumer {
-		chain = pc
-		return consumer{row: sa.rt.sink(pc, sa.absorb)}
-	})
-	if len(chain.probes) != 3 {
-		t.Fatalf("%d batch probes, want 3", len(chain.probes))
-	}
-	d := dispatch.NewDispatcher(s.Machine, s.Dispatch)
-	r := dispatch.NewSimRunner(d, s.SimCfg)
-	r.Run(dispatch.Arrival{Query: c.q}) // builds the tables, creates the context and the groups
-	w := r.Workers()[0]
-	m := storage.Morsel{Part: fact.Parts[0], Begin: 0, End: fact.Parts[0].Rows()}
-	groups := sa.locals[0].len()
-	if allocs := morselAllocs(20, func() { tails[0].Run(w, m) }); allocs != 0 {
-		t.Errorf("a steady-state morsel through three batch probes allocates %v times", allocs)
-	}
-	if groups == 0 || sa.locals[0].len() != groups {
-		t.Errorf("groups went from %d to %d", groups, sa.locals[0].len())
+	for _, partitioned := range []bool{false, true} {
+		p := chainPlan(fact, probeFilters["filtered"], steps, false, true)
+		c := &compiler{sess: s, q: dispatch.NewQuery(p.Name), workers: 1, sockets: s.Machine.Topo.Sockets,
+			joins: make(map[*Node]*joinCompiled), mats: make(map[*Node]*matCompiled)}
+		agg := p.root
+		sa, pa := c.newSharedAgg(agg), c.newPartAgg(agg)
+		var eng aggEngine = sa
+		if partitioned {
+			eng = pa
+		}
+		var chain *pipeCtx
+		tails := agg.child.produce(c, func(pc *pipeCtx) consumer {
+			chain = pc
+			return consumer{row: sa.rt.sink(pc, eng)}
+		})
+		if len(chain.probes) != 3 {
+			t.Fatalf("%d batch probes, want 3", len(chain.probes))
+		}
+		d := dispatch.NewDispatcher(s.Machine, s.Dispatch)
+		r := dispatch.NewSimRunner(d, s.SimCfg)
+		r.Run(dispatch.Arrival{Query: c.q}) // builds the tables, creates the context and the groups
+		w := r.Workers()[0]
+		m := storage.Morsel{Part: fact.Parts[0], Begin: 0, End: fact.Parts[0].Rows()}
+		groups := func() (n int) {
+			if !partitioned {
+				return sa.locals[0].len()
+			}
+			for _, tab := range pa.parts[0] {
+				if tab != nil {
+					n += tab.len()
+				}
+			}
+			return n
+		}
+		before := groups()
+		if allocs := morselAllocs(20, func() { tails[0].Run(w, m) }); allocs != 0 {
+			t.Errorf("partitioned=%v: a steady-state morsel through three batch probes allocates %v times", partitioned, allocs)
+		}
+		if before == 0 || groups() != before {
+			t.Errorf("partitioned=%v: groups went from %d to %d", partitioned, before, groups())
+		}
 	}
 }

@@ -3,23 +3,26 @@
 // pipeline fragments), a column-at-a-time front end on every column-sourced
 // pipeline — selection-vector filter kernels, hash-join probes that take a
 // chunk at a time and pass (scan row, build ref) pair lists down a chain of
-// joins, and a batch aggregation sink, all over a morsel's typed column
-// slices (kernel.go, join.go) — ahead of a register file of Vals, filled
-// only for the rows that leave the last batch stage, that carries them
-// through the row-at-a-time operators, expression evaluation, and the
-// paper's parallel operators — pipelined hash joins on the lock-free tagged
-// hash table (§4.1/§4.2, with semi/anti/mark/outer variants, probed tag
-// first), two-phase parallel aggregation (§4.4), parallel merge sort /
-// top-k (§4.5), and Materialize, a compute-once buffer shared by several
-// consumers — all executing morsel-wise under the dispatcher. Plans are
-// immutable under compilation, so one prepared plan serves many
-// concurrent sessions. Plan.Explain renders the operator tree
-// (docs/explain.md).
+// joins, and the two pipeline breakers that take such a chunk whole: the
+// hash-join build, which gathers it into the worker's storage area, and
+// aggregation phase 1 of both engines, all over a morsel's typed column
+// slices (kernel.go, join.go, agg.go) — ahead of a register file of Vals,
+// filled only for the rows that leave the last batch stage, that carries
+// them through the row-at-a-time operators (and the breakers behind them),
+// expression evaluation, and the paper's parallel operators — pipelined
+// hash joins on the lock-free tagged hash table (§4.1/§4.2, with
+// semi/anti/mark/outer variants, probed tag first), two-phase parallel
+// aggregation (§4.4), parallel merge sort / top-k (§4.5), and Materialize,
+// a compute-once buffer shared by several consumers — all executing
+// morsel-wise under the dispatcher. Plans are immutable under compilation,
+// so one prepared plan serves many concurrent sessions. Plan.Explain
+// renders the operator tree (docs/explain.md).
 package engine
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/dispatch"
 	"repro/internal/numa"
@@ -181,10 +184,11 @@ func appendKeyInt(buf []byte, v int64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, uint64(v))
 }
 
-// appendKeyFloat quantises to 1e-4: floats used as keys are exact
-// decimals in our workloads.
+// appendKeyFloat encodes a float by its bits as floatWord gives them, so
+// every distinct value is its own group and decodes exactly, -0 groups
+// with +0 (and comes back as +0), and every NaN groups with every other.
 func appendKeyFloat(buf []byte, v float64) []byte {
-	return appendKeyInt(buf, int64(v*10000))
+	return binary.LittleEndian.AppendUint64(buf, floatWord(v))
 }
 
 // keyLongStr in the two-byte length field marks a string of 65 535 bytes
@@ -228,7 +232,7 @@ func decodeVal(buf []byte, t Type) (Val, []byte) {
 	case TInt:
 		return Val{I: int64(binary.LittleEndian.Uint64(buf))}, buf[8:]
 	case TFloat:
-		return Val{F: float64(int64(binary.LittleEndian.Uint64(buf))) / 10000}, buf[8:]
+		return Val{F: math.Float64frombits(binary.LittleEndian.Uint64(buf))}, buf[8:]
 	default:
 		n := int(binary.LittleEndian.Uint16(buf))
 		buf = buf[2:]

@@ -160,6 +160,32 @@ func TestGlobalAggregate(t *testing.T) {
 	expectRows(t, res, false, "40 | 1000.00 | 1507.00")
 }
 
+// TestFloatGroupKeys: a float group key is encoded by its bits, not
+// quantised to 1e-4 in an int64 — where keys past 9.2e14 would overflow
+// into one group and keys under 1e-4 collapse into 0. Six distinct
+// salaries stay six groups, and each key comes back exactly as computed.
+func TestFloatGroupKeys(t *testing.T) {
+	cat := testCatalog()
+	for _, c := range []struct {
+		expr  string
+		scale func(float64) float64
+	}{
+		{"salary * 1000000000000", func(s float64) float64 { return s * 1000000000000 }},
+		{"salary / 100000000", func(s float64) float64 { return s / 100000000 }},
+	} {
+		res := run(t, cat, fmt.Sprintf(`SELECT %s AS k, COUNT(*) AS n FROM emp WHERE id < 6 GROUP BY %s ORDER BY k`, c.expr, c.expr))
+		if res.NumRows() != 6 {
+			t.Fatalf("GROUP BY %s: %d groups, want 6: %v", c.expr, res.NumRows(), rows(res, true))
+		}
+		for i, row := range res.Rows() {
+			salary := 1000 + float64(i*13%700) // ids 0..5, ascending salaries
+			if want := c.scale(salary); row[0].F != want || row[1].I != 1 {
+				t.Errorf("GROUP BY %s: row %d is (%v, %d), want (%v, 1)", c.expr, i, row[0].F, row[1].I, want)
+			}
+		}
+	}
+}
+
 func TestCommaJoinWithPushdown(t *testing.T) {
 	cat := testCatalog()
 	res := run(t, cat, `

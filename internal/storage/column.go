@@ -77,6 +77,43 @@ func (c *Column) AppendStr(v string) {
 	c.strBytes += int64(len(v))
 }
 
+// Extend lengthens the column by n zero values, which the caller then
+// writes in place (SetStr for strings), and returns its old length. The
+// capacity doubles, starting from the first n, so a column filled a chunk
+// at a time makes O(log rows) allocations and copies under twice its
+// final size, where append's 1.25× growth of large slices copies ~5×.
+func (c *Column) Extend(n int) int {
+	switch c.Type {
+	case I64:
+		c.Ints = extend(c.Ints, n)
+		return len(c.Ints) - n
+	case F64:
+		c.Flts = extend(c.Flts, n)
+		return len(c.Flts) - n
+	default:
+		c.Strs = extend(c.Strs, n)
+		return len(c.Strs) - n
+	}
+}
+
+func extend[T any](s []T, n int) []T {
+	if len(s)+n > cap(s) {
+		t := make([]T, len(s), max(2*cap(s), len(s)+n))
+		copy(t, s)
+		s = t
+	}
+	s = s[:len(s)+n]
+	clear(s[len(s)-n:])
+	return s
+}
+
+// SetStr overwrites string i of a Str column, keeping the payload byte
+// count AvgWidth reads.
+func (c *Column) SetStr(i int, v string) {
+	c.strBytes += int64(len(v) - len(c.Strs[i]))
+	c.Strs[i] = v
+}
+
 // AvgWidth returns the average bytes per value, used by the cost model to
 // charge morsel scans. Strings are charged their payload plus a 16-byte
 // header (offset + length), numerics 8 bytes.

@@ -275,3 +275,46 @@ func TestMorsel(t *testing.T) {
 		t.Errorf("Home = %d", m.Home())
 	}
 }
+
+// TestColumnExtend: Extend adds zero values whatever the spare capacity
+// held, doubles the capacity from the first request, and SetStr keeps the
+// byte count AvgWidth reads equal to what AppendStr would have made it.
+func TestColumnExtend(t *testing.T) {
+	c := NewColumn("v", I64)
+	if at := c.Extend(25); at != 0 || len(c.Ints) != 25 || cap(c.Ints) != 25 {
+		t.Fatalf("first Extend: at %d, len %d, cap %d; want 0, 25, 25", at, len(c.Ints), cap(c.Ints))
+	}
+	grows := 0
+	for i := 0; i < 1000; i++ {
+		before := cap(c.Ints)
+		at := c.Extend(25)
+		for j := range 25 {
+			if c.Ints[at+j] != 0 {
+				t.Fatalf("Extend left %d at row %d", c.Ints[at+j], at+j)
+			}
+			c.Ints[at+j] = -1
+		}
+		if cap(c.Ints) != before {
+			grows++
+		}
+	}
+	if grows > 10 || cap(c.Ints) > 2*len(c.Ints) {
+		t.Errorf("%d rows took %d grows to capacity %d", len(c.Ints), grows, cap(c.Ints))
+	}
+	c.Ints = c.Ints[:10] // spare capacity now holds written values
+	if at := c.Extend(5); c.Ints[at] != 0 || c.Ints[at+4] != 0 {
+		t.Errorf("Extend over used capacity kept old values: %v", c.Ints[at:])
+	}
+
+	set, app := NewColumn("s", Str), NewColumn("s", Str)
+	words := []string{"", "abc", "a longer payload", "xy"}
+	at := set.Extend(len(words))
+	for j, w := range words {
+		set.SetStr(at+j, w)
+		set.SetStr(at+j, w+w) // an overwrite replaces the old count
+		app.AppendStr(w + w)
+	}
+	if set.AvgWidth() != app.AvgWidth() || set.Len() != app.Len() {
+		t.Errorf("SetStr: width %v over %d rows, AppendStr: %v over %d", set.AvgWidth(), set.Len(), app.AvgWidth(), app.Len())
+	}
+}

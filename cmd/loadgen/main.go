@@ -19,9 +19,6 @@
 //
 //	loadgen -cluster-smoke http://localhost:8081,http://localhost:8082 -sf 0.05
 //
-// -agg shared|partitioned adds that aggregation strategy to every
-// request (empty = the server's default).
-//
 // With -bench-json, the closed-loop report is also written as a
 // machine-readable BENCH_loadgen.json into $BENCH_OUT (informational
 // metrics — wall-clock numbers are not regression-gated).
@@ -83,7 +80,6 @@ func main() {
 		intParams   = flag.String("interactive-params", "[[7], [14], [30]]", "JSON array of param sets rotated across interactive requests")
 		batchPSQL   = flag.String("batch-prepared-sql", "SELECT region, COUNT(*) AS n, SUM(amount) AS revenue FROM orders, customers WHERE cust = cid AND amount < ? GROUP BY region ORDER BY revenue DESC", "parameterized SQL for batch clients (with -prepared)")
 		batchParams = flag.String("batch-params", "[[2500], [5000], [9000]]", "JSON array of param sets rotated across batch requests")
-		physAgg     = flag.String("agg", "", "aggregation strategy sent per request: auto | shared | partitioned (empty = server default)")
 		timeoutMs   = flag.Int("timeout-ms", 0, "per-query timeout (0 = server default)")
 		distributed = flag.Bool("distributed", false, "request distributed execution across the morseld cluster for every query")
 		ingestMode  = flag.Bool("ingest", false, "stream deterministic batches into the demo orders table over POST /append while readers verify count/version consistency, then exit (nonzero on any violation)")
@@ -158,11 +154,8 @@ func main() {
 			if params != nil {
 				req["params"] = params
 			}
-			if *physAgg != "" {
-				req["agg"] = *physAgg
-			}
 			body, _ := json.Marshal(req)
-			key, _ := json.Marshal([]any{q, params, *physAgg})
+			key, _ := json.Marshal([]any{q, params})
 			items = append(items, work{key: string(key), body: body})
 		}
 		if *preparedSQL {
@@ -202,15 +195,12 @@ func main() {
 					log.Fatalf("cannot inline params into %q: %v", q, err)
 				}
 				ref := map[string]any{"sql": lit, "timeout_ms": *timeoutMs}
-				if *physAgg != "" {
-					ref["agg"] = *physAgg
-				}
 				body, _ := json.Marshal(ref)
 				rows, err := post(client, *addr+"/query", body)
 				if err != nil {
 					log.Fatalf("unprepared reference %q: %v", lit, err)
 				}
-				key, _ := json.Marshal([]any{q, ps, *physAgg})
+				key, _ := json.Marshal([]any{q, ps})
 				firstRows[string(key)] = rows
 			}
 		}

@@ -15,9 +15,10 @@
 //	morseld -exec 'SELECT COUNT(*) AS n FROM orders WHERE day < ?' -params '[7]'
 //	morseld -exec 'SELECT ...' -explain   # optimized plan with cardinality estimates
 //
-// Every SQL join runs as the pipelined hash join; -agg
-// auto|shared|partitioned sets the default aggregation strategy, which a
-// request's "agg" field overrides.
+// Every SQL join runs as the pipelined hash join; every grouped
+// aggregation with an estimated 4 096 groups or more runs on the
+// partitioned aggregation table, the others on the shared one (EXPLAIN
+// shows which).
 //
 // With -data-dir the dataset persists across restarts: the first run
 // generates it, seals every table into an on-disk columnar snapshot
@@ -87,7 +88,6 @@ func main() {
 		dataDir    = flag.String("data-dir", "", "snapshot directory: restore the dataset from it when present, otherwise generate and seal it there")
 		snapshot   = flag.Bool("snapshot", true, "with -data-dir: seal the freshly generated dataset into the directory")
 		sortSpec   = flag.String("sort", "", "cluster one table on a column before serving, e.g. lineitem=l_shipdate (sharpens zone-map segment skipping)")
-		physAgg    = flag.String("agg", "auto", "default aggregation strategy for SQL queries: auto | shared | partitioned (requests may override with \"agg\")")
 		maxConc    = flag.Int("max-concurrent", 0, "queries admitted at once (0 = 2 x sockets)")
 		maxQueue   = flag.Int("max-queue", 64, "waiting queries before 429 (negative = none)")
 		planCache  = flag.Int("plan-cache", 0, "server-side SQL plan cache entries (0 = default 256, negative disables)")
@@ -97,11 +97,6 @@ func main() {
 		fragRetry  = flag.Int("frag-retries", 2, "distributed: fragment-RPC retries with backoff (negative = none); retries are stream-safe, receivers dedupe or fail cleanly")
 	)
 	flag.Parse()
-
-	ph := sql.Physical{Agg: *physAgg}
-	if err := ph.Validate(); err != nil {
-		log.Fatalf("-agg: %v", err)
-	}
 
 	var m = core.Nehalem()
 	switch *machine {
@@ -184,7 +179,7 @@ func main() {
 	}
 
 	if *execSQL != "" {
-		if err := runSQL(sys, *execSQL, *execParams, *explain, ph, tables...); err != nil {
+		if err := runSQL(sys, *execSQL, *execParams, *explain, tables...); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -193,7 +188,7 @@ func main() {
 		if *dataset != "tpch" {
 			log.Fatal("-exec-tpch requires -dataset tpch")
 		}
-		if err := runTPCHQueries(sys, *execTPCH, *sf, ph, tables); err != nil {
+		if err := runTPCHQueries(sys, *execTPCH, *sf, tables); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -205,7 +200,6 @@ func main() {
 		DefaultTimeout:   *timeout,
 		PlanCacheSize:    *planCache,
 		StatsRefreshRows: *statsRows,
-		Physical:         ph,
 		FragTimeout:      *fragTO,
 		FragRetries:      *fragRetry,
 	})
@@ -302,7 +296,7 @@ func applySort(tables []*core.Table, spec string, sockets int) {
 
 // runTPCHQueries executes TPC-H queries from the SQL dialect ("all" or
 // one number) and prints each result, for snapshot parity checks.
-func runTPCHQueries(sys *core.System, spec string, sf float64, ph sql.Physical, tables []*core.Table) error {
+func runTPCHQueries(sys *core.System, spec string, sf float64, tables []*core.Table) error {
 	byName := make(map[string]*core.Table, len(tables))
 	for _, t := range tables {
 		byName[t.Name] = t
@@ -326,7 +320,7 @@ func runTPCHQueries(sys *core.System, spec string, sf float64, ph sql.Physical, 
 		if !ok {
 			return fmt.Errorf("-exec-tpch: query %d is not expressible in the SQL dialect", n)
 		}
-		prep, err := sql.PrepareOpts(q, fmt.Sprintf("q%d", n), cat, ph)
+		prep, err := sql.Prepare(q, fmt.Sprintf("q%d", n), cat)
 		if err != nil {
 			return fmt.Errorf("q%d: %w", n, err)
 		}
@@ -385,15 +379,15 @@ func loadDemo(sys *core.System, orderRows, customerRows int) (*core.Table, *core
 // runSQL is the one-shot SQL entry point: parse, bind, cost-optimize,
 // lower to a morsel-driven plan, bind any ? parameters, and either
 // explain or execute it.
-func runSQL(sys *core.System, query, paramsJSON string, explainOnly bool, ph sql.Physical, tables ...*core.Table) error {
+func runSQL(sys *core.System, query, paramsJSON string, explainOnly bool, tables ...*core.Table) error {
 	byName := make(map[string]*core.Table, len(tables))
 	for _, t := range tables {
 		byName[t.Name] = t
 	}
-	prep, err := sql.PrepareOpts(query, "sql", func(name string) (*storage.Table, bool) {
+	prep, err := sql.Prepare(query, "sql", func(name string) (*storage.Table, bool) {
 		t, ok := byName[name]
 		return t, ok
-	}, ph)
+	})
 	if err != nil {
 		return err
 	}

@@ -10,6 +10,23 @@ import (
 // than worker threads", §4.4).
 const aggNumPartitions = 64
 
+// partitionedAggMinGroups is the estimated group count from which an
+// aggregation runs the partitioned engine. Below it the capped
+// thread-local table holds every group and the per-worker-per-partition
+// tables only add merge work.
+const partitionedAggMinGroups = 4_096
+
+// partitioned reports whether the aggregation n runs the partitioned
+// engine (Memarzia et al.'s strategy) instead of the shared one (§4.4):
+// it is grouped, and its estimated group count reaches
+// partitionedAggMinGroups. A global aggregate has one group, and a plan
+// built without estimates runs shared. The compiler and Explain both ask
+// this one predicate, so EXPLAIN always names the engine that runs, on
+// every node of a distributed plan alike.
+func (n *Node) partitioned() bool {
+	return len(n.groups) > 0 && n.estRows >= partitionedAggMinGroups
+}
+
 // DefaultPreAggCapacity is the size of the fixed, thread-local
 // pre-aggregation hash table; keys beyond it spill to overflow
 // partitions. Tests shrink it to force spilling.
@@ -490,13 +507,10 @@ func (p *partAgg) spill(*Ectx, uint64, []byte, []float64) {
 }
 
 // producePartitionedAgg compiles the partitioned aggregation: partAgg's
-// phase 1, then the shared engine's phase 2. The physical-selection phase
-// picks it for high group cardinality, where the shared table's capacity
-// cap would spill most keys as single-tuple partials anyway.
+// phase 1, then the shared engine's phase 2. Node.partitioned picks it
+// for high group cardinality, where the shared table's capacity cap would
+// spill most keys as single-tuple partials anyway.
 func (c *compiler) producePartitionedAgg(n *Node, f consumerFactory) []tailJob {
-	if len(n.groups) == 0 {
-		panic("engine: partitioned aggregation requires group keys")
-	}
 	p := c.newPartAgg(n)
 	tails := n.child.produce(c, func(pc *pipeCtx) consumer { return p.rt.consumer(pc, p) })
 

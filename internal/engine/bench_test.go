@@ -221,7 +221,7 @@ func BenchmarkGroupByHighCard(b *testing.B) {
 		tb.Append(storage.Row{int64(i % 100_000), float64(i%1000) / 3})
 	}
 	tbl := tb.Build(storage.NUMAAware, 4)
-	for _, algo := range []AggAlgo{AggShared, AggPartitioned} {
+	for _, algo := range aggEngines {
 		b.Run(algo.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -230,7 +230,7 @@ func BenchmarkGroupByHighCard(b *testing.B) {
 				p.Return(p.Scan(tbl, "hk", "v").
 					GroupBy([]NamedExpr{N("hk", Col("hk"))},
 						[]AggDef{Count("n"), Sum("s", Col("v")), MaxOf("m", Col("v"))}).
-					WithAggAlgo(algo))
+					SetEst(algo.est))
 				res, _ := s.Run(p)
 				if res.NumRows() != 100_000 {
 					b.Fatalf("groups %d", res.NumRows())

@@ -271,7 +271,7 @@ func (n *Node) produce(c *compiler, f consumerFactory) []tailJob {
 	case nJoin:
 		return c.produceJoin(n, f)
 	case nAgg:
-		if n.aggAlgo == AggPartitioned {
+		if n.partitioned() {
 			return c.producePartitionedAgg(n, f)
 		}
 		return c.produceAgg(n, f)

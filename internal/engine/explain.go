@@ -241,15 +241,11 @@ func describeNode(n *Node) string {
 			}
 			ab.WriteString(a.describe())
 		}
-		op := "groupby"
-		if n.aggAlgo == AggPartitioned {
-			op = "agg partitioned"
+		if n.partitioned() {
+			return fmt.Sprintf("agg partitioned [%s] aggs [%s] [phys: partitioned groups est=%.0f]",
+				gb.String(), ab.String(), n.estRows)
 		}
-		s := fmt.Sprintf("%s [%s] aggs [%s]", op, gb.String(), ab.String())
-		if n.physWhy != "" {
-			s += " " + n.physWhy
-		}
-		return s
+		return fmt.Sprintf("groupby [%s] aggs [%s]", gb.String(), ab.String())
 	case nUnion:
 		return fmt.Sprintf("union (%d inputs)", len(n.children))
 	case nMaterialize:

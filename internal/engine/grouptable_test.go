@@ -129,7 +129,7 @@ func TestQuickGroupByColdPath(t *testing.T) {
 			want[id].add(v)
 		}
 		tbl := b.Build(storage.NUMAAware, 4)
-		for _, algo := range []AggAlgo{AggShared, AggPartitioned} {
+		for _, algo := range aggEngines {
 			for _, workers := range []int{1, 2, 4, 8} {
 				for _, mode := range []Mode{Sim, Real} {
 					s := quickSession(rng)
@@ -138,7 +138,7 @@ func TestQuickGroupByColdPath(t *testing.T) {
 					p := NewPlan("q")
 					p.Return(p.Scan(tbl, "k", "tag", "v").
 						GroupBy([]NamedExpr{N("k", Col("k")), N("tag", Col("tag"))}, allAggs).
-						WithAggAlgo(algo))
+						SetEst(algo.est))
 					res, _ := s.Run(p)
 					if res.NumRows() != len(want) {
 						return false

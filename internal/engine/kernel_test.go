@@ -387,10 +387,10 @@ func exactRows(r *Result) []string {
 // an operator between the scan and the sink and so forces the row entry;
 // the extra column is projected away again.
 func viaRowSink(n *Node, groups []NamedExpr, aggs []AggDef) *Node {
-	return viaRowSinkAlgo(n, groups, aggs, AggShared)
+	return viaRowSinkAlgo(n, groups, aggs, aggEngines[0])
 }
 
-func viaRowSinkAlgo(n *Node, groups []NamedExpr, aggs []AggDef, algo AggAlgo) *Node {
+func viaRowSinkAlgo(n *Node, groups []NamedExpr, aggs []AggDef, algo aggChoice) *Node {
 	var names []string
 	for _, g := range groups {
 		names = append(names, g.Name)
@@ -398,12 +398,21 @@ func viaRowSinkAlgo(n *Node, groups []NamedExpr, aggs []AggDef, algo AggAlgo) *N
 	for _, a := range aggs {
 		names = append(names, a.Name)
 	}
-	return n.Map("$one", ConstI(1)).GroupBy(groups, aggs).WithAggAlgo(algo).Project(names...)
+	return n.Map("$one", ConstI(1)).GroupBy(groups, aggs).SetEst(algo.est).Project(names...)
 }
 
-// aggAlgos are both engines' phase 1, which share the batch and the row
+// aggChoice selects one aggregation engine the way the compiler does:
+// through the aggregation's group estimate.
+type aggChoice struct {
+	name string
+	est  float64
+}
+
+func (a aggChoice) String() string { return a.name }
+
+// aggEngines are both engines' phase 1, which share the batch and the row
 // sink; the partitioned one needs group keys.
-var aggAlgos = []AggAlgo{AggShared, AggPartitioned}
+var aggEngines = []aggChoice{{"shared", 0}, {"partitioned", partitionedAggMinGroups}}
 
 // TestBatchSinkMatchesRowSink is the differential for part three: every
 // shape, under filters keeping nothing, one group, and most rows, through
@@ -416,14 +425,14 @@ func TestBatchSinkMatchesRowSink(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tbl := sinkTable(rng, 9000, 300)
 	filters := []*Expr{nil, Lt(Col("k"), ConstI(0)), Eq(Col("k"), ConstI(17)), And(Ge(Col("k"), ConstI(20)), Like(Col("tag"), "t%"))}
-	for _, algo := range aggAlgos {
+	for _, algo := range aggEngines {
 		for _, capacity := range []int{old, 0, 1, 5} {
-			if algo == AggPartitioned && capacity != old {
+			if algo.name == "partitioned" && capacity != old {
 				continue // it has no capacity
 			}
 			DefaultPreAggCapacity = capacity
 			for si, shape := range sinkShapes() {
-				if algo == AggPartitioned && len(shape.groups) == 0 {
+				if algo.name == "partitioned" && len(shape.groups) == 0 {
 					continue
 				}
 				for fi, pred := range filters {
@@ -438,7 +447,7 @@ func TestBatchSinkMatchesRowSink(t *testing.T) {
 							return node
 						}
 						p := NewPlan("batch")
-						p.Return(scan(p).GroupBy(shape.groups, shape.aggs).WithAggAlgo(algo))
+						p.Return(scan(p).GroupBy(shape.groups, shape.aggs).SetEst(algo.est))
 						got, _ := s.Run(p)
 						p = NewPlan("rows")
 						p.Return(viaRowSinkAlgo(scan(p), shape.groups, shape.aggs, algo))
@@ -492,7 +501,7 @@ func TestBatchSinkAcrossWorkers(t *testing.T) {
 		}
 	}
 	tbl := b.Build(storage.NUMAAware, 4)
-	for _, algo := range aggAlgos {
+	for _, algo := range aggEngines {
 		for _, capacity := range []int{old, 3} {
 			DefaultPreAggCapacity = capacity
 			for _, workers := range []int{2, 8} {
@@ -500,7 +509,7 @@ func TestBatchSinkAcrossWorkers(t *testing.T) {
 				s.Dispatch.Workers, s.Dispatch.MorselRows = workers, 700
 				p := NewPlan("q")
 				p.Return(p.Scan(tbl, "k", "tag", "v").Filter(Ge(Col("k"), ConstI(10))).
-					GroupBy([]NamedExpr{N("k", Col("k")), N("tag", Col("tag"))}, allAggs).WithAggAlgo(algo))
+					GroupBy([]NamedExpr{N("k", Col("k")), N("tag", Col("tag"))}, allAggs).SetEst(algo.est))
 				res, _ := s.Run(p)
 				if res.NumRows() != len(want) {
 					t.Fatalf("%v capacity %d, %d workers: %d groups, want %d", algo, capacity, workers, res.NumRows(), len(want))

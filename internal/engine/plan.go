@@ -96,33 +96,6 @@ const (
 	JoinOuterProbe
 )
 
-// AggAlgo selects the physical aggregation implementation.
-type AggAlgo uint8
-
-const (
-	// AggShared is the default two-phase aggregation: capacity-capped
-	// thread-local pre-aggregation spilling cold keys to partitions
-	// (§4.4). Best for low group cardinality.
-	AggShared AggAlgo = iota
-	// AggPartitioned keys every worker's table by the group hash up
-	// front (Memarzia et al.'s partitioned strategy): no capacity cap
-	// and no spill path, at the cost of one table per partition per
-	// worker. Best for high group cardinality.
-	AggPartitioned
-)
-
-// String names the aggregation algorithm for Explain output.
-func (a AggAlgo) String() string {
-	switch a {
-	case AggShared:
-		return "shared"
-	case AggPartitioned:
-		return "partitioned"
-	default:
-		return fmt.Sprintf("AggAlgo(%d)", uint8(a))
-	}
-}
-
 // String names the join kind for Explain output and error messages.
 func (k JoinKind) String() string {
 	switch k {
@@ -184,14 +157,6 @@ type Node struct {
 	payload   []string
 	joinKind  JoinKind
 	residual  *Expr
-
-	// aggregation algorithm (nAgg)
-	aggAlgo AggAlgo
-
-	// physWhy is the physical-selection rationale for this aggregation,
-	// rendered by Explain so cost decisions are pinnable in tests. Empty
-	// for hand-built plans.
-	physWhy string
 
 	// unmatched scan
 	joinRef *Node
@@ -335,31 +300,6 @@ func (n *Node) HashJoin(build *Node, kind JoinKind, probeKeys, buildKeys []*Expr
 		probeKeys: probeKeys, buildKeys: buildKeys, payload: payload,
 		joinKind: kind, out: out,
 	}
-}
-
-// WithAggAlgo selects the physical aggregation algorithm. Global
-// aggregates (no group keys) always use the shared path — there is only
-// one group, so partitioning is meaningless.
-func (n *Node) WithAggAlgo(a AggAlgo) *Node {
-	if n.kind != nAgg {
-		panic("engine: WithAggAlgo on non-aggregation")
-	}
-	if a == AggPartitioned && len(n.groups) == 0 {
-		panic("engine: partitioned aggregation requires group keys")
-	}
-	n.aggAlgo = a
-	return n
-}
-
-// WithPhysNote records the aggregation-strategy rationale; Explain
-// renders it after the operator description so plan pins can assert the
-// cost justification, not just the outcome.
-func (n *Node) WithPhysNote(why string) *Node {
-	if n.kind != nAgg {
-		panic("engine: WithPhysNote applies to aggregations")
-	}
-	n.physWhy = why
-	return n
 }
 
 // WithResidual adds a non-equality predicate evaluated per candidate

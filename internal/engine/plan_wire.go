@@ -162,11 +162,8 @@ type wireNode struct {
 	Payload   []string    `json:"payload,omitempty"`
 	Residual  *wireExpr   `json:"residual,omitempty"`
 
-	Groups  []wireNamed `json:"groups,omitempty"`
-	Aggs    []wireAgg   `json:"aggs,omitempty"`
-	AggAlgo string      `json:"aggAlgo,omitempty"`
-
-	PhysWhy string `json:"physWhy,omitempty"`
+	Groups []wireNamed `json:"groups,omitempty"`
+	Aggs   []wireAgg   `json:"aggs,omitempty"`
 
 	Exchange string   `json:"exchange,omitempty"`
 	ExKeys   []string `json:"exKeys,omitempty"`
@@ -254,10 +251,6 @@ func EncodePlan(p *Plan) ([]byte, error) {
 			wn.Residual = encodeExpr(n.residual)
 		case nAgg:
 			wn.Kind = "agg"
-			if n.aggAlgo != AggShared {
-				wn.AggAlgo = n.aggAlgo.String()
-			}
-			wn.PhysWhy = n.physWhy
 			for _, g := range n.groups {
 				wn.Groups = append(wn.Groups, wireNamed{Name: g.Name, E: encodeExpr(g.E)})
 			}
@@ -443,16 +436,6 @@ func DecodePlanStreams(data []byte, lookup func(name string) (*storage.Table, bo
 				aggs[i] = AggDef{Name: a.Name, Kind: ak, E: e}
 			}
 			n = child.GroupBy(groups, aggs)
-			switch wn.AggAlgo {
-			case "":
-			case "partitioned":
-				n = n.WithAggAlgo(AggPartitioned)
-			default:
-				return nil, fmt.Errorf("engine: unknown aggregation algorithm %q", wn.AggAlgo)
-			}
-			if wn.PhysWhy != "" {
-				n = n.WithPhysNote(wn.PhysWhy)
-			}
 		case "union":
 			subs := make([]*Node, len(wn.Children))
 			for i, id := range wn.Children {

@@ -47,7 +47,8 @@ func TestPlanWireRoundTrip(t *testing.T) {
 		Filter(If(Gt(Col("v2"), ConstF(1.0)), ConstI(1), ConstI(0))).
 		GroupBy(
 			[]NamedExpr{N("label", Col("label"))},
-			[]AggDef{Sum("s", Col("v2")), Count("c"), MinOf("lo", Col("v")), MaxOf("hi", Col("v")), Avg("av", Col("v"))})
+			[]AggDef{Sum("s", Col("v2")), Count("c"), MinOf("lo", Col("v")), MaxOf("hi", Col("v")), Avg("av", Col("v"))}).
+		SetEst(partitionedAggMinGroups)
 	p.ReturnSorted(n.Project("label", "s", "c", "lo", "hi", "av"), 5, Asc("label"), Desc("s"))
 
 	data, err := EncodePlan(p)
@@ -60,6 +61,11 @@ func TestPlanWireRoundTrip(t *testing.T) {
 	}
 	if got, want := dp.Explain(), p.Explain(); got != want {
 		t.Fatalf("explain drift:\n--- original\n%s\n--- decoded\n%s", want, got)
+	}
+	// The wire carries the estimate, not the engine: the receiver picks
+	// the partitioned aggregation from it.
+	if !strings.Contains(dp.Explain(), "agg partitioned [label]") {
+		t.Fatalf("decoded aggregation is not partitioned:\n%s", dp.Explain())
 	}
 	s := newTestSession(Sim)
 	wantRes, _ := s.Run(p)

@@ -69,7 +69,8 @@ func decodeAppend(body []byte, lookup func(string) (*core.Table, bool)) (*core.T
 	if err := dec.Decode(&wire); err != nil {
 		return nil, nil, &BadRequestError{Msg: "bad append body: " + err.Error()}
 	}
-	if dec.More() {
+	// More misses a stray closing '}' or ']'; only EOF ends a body.
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, nil, &BadRequestError{Msg: "bad append body: trailing data"}
 	}
 	if wire.Table == "" {

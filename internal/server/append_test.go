@@ -130,6 +130,7 @@ func TestAppendRejections(t *testing.T) {
 		"malformed":     `{"table": "orders", "rows": [[1,`,
 		"unknown field": `{"table": "orders", "rows": [[1, 2, 3, 4.0]], "extra": 1}`,
 		"trailing data": `{"table": "orders", "rows": [[1, 2, 3, 4.0]]} {"again": true}`,
+		"stray brace":   `{"table": "orders", "rows": [[1, 2, 3, 4.0]]}}`,
 		"missing table": `{"rows": [[1, 2, 3, 4.0]]}`,
 	}
 	for name, body := range cases {

@@ -7,8 +7,7 @@ import (
 	"repro/internal/sql"
 )
 
-// planCache is an LRU of prepared statements keyed by SQL text plus the
-// request's physical-operator options (Physical.Key). Entries
+// planCache is an LRU of prepared statements keyed by SQL text. Entries
 // record the catalog version they were compiled against: re-registering
 // a table bumps the version, so a cached plan can never execute against
 // a table object it was not bound to (same SQL text, changed catalog).

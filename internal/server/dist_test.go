@@ -146,6 +146,55 @@ func TestClusterExplainDistributed(t *testing.T) {
 	}
 }
 
+// TestClusterPartitionedAggregation runs a high-NDV GROUP BY across two
+// nodes: its group estimate is above the engine's partitioned-aggregation
+// threshold, so every node's partial aggregation and the coordinator's
+// merge over the live gather stream run the partitioned engine, as the
+// single-node plan does, and the result must equal the single-node one.
+// TPC-H Q7 (est 4307) and Q10 (est 4460) just cross the threshold at this
+// cluster's SF 0.01 too and run the same check without the plan pin; Q3
+// (est 3138) stays shared here.
+func TestClusterPartitionedAggregation(t *testing.T) {
+	servers, db := newTestCluster(t, 2)
+	const highNDV = `SELECT l_orderkey, SUM(l_quantity) AS qty, COUNT(*) AS n,
+		MIN(l_shipdate) AS first_ship, AVG(l_extendedprice) AS avg_price
+		FROM lineitem GROUP BY l_orderkey ORDER BY l_orderkey`
+	single, err := servers[0].Submit(context.Background(), &Request{SQL: highNDV, Explain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(single.Plan, "agg partitioned"); n != 1 {
+		t.Fatalf("single-node plan has %d partitioned aggregations, want 1:\n%s", n, single.Plan)
+	}
+	dist, err := servers[0].Submit(context.Background(), &Request{SQL: highNDV, Explain: true, Distributed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(dist.Plan, "agg partitioned"); !dist.Distributed || n != 2 {
+		t.Fatalf("distributed plan has %d partitioned aggregations, want the partial and the merge:\n%s", n, dist.Plan)
+	}
+	for name, q := range map[string]string{
+		"high-NDV GROUP BY": highNDV,
+		"q7":                tpch.MustSQLText(7, db.Cfg.SF),
+		"q10":               tpch.MustSQLText(10, db.Cfg.SF),
+	} {
+		want, err := servers[0].Submit(context.Background(), &Request{SQL: q})
+		if err != nil {
+			t.Fatalf("%s single-node: %v", name, err)
+		}
+		for i, s := range servers {
+			got, err := s.Submit(context.Background(), &Request{SQL: q, Distributed: true})
+			if err != nil {
+				t.Fatalf("%s via coordinator %d: %v", name, i, err)
+			}
+			if !got.Distributed {
+				t.Fatalf("%s via coordinator %d fell back to single-node", name, i)
+			}
+			sameRows(t, fmt.Sprintf("%s via coordinator %d", name, i), got, want)
+		}
+	}
+}
+
 // TestClusterStats checks the distributed counters: the coordinator
 // counts the query, every node counts fragment executions, and exchange
 // bytes flow in both directions.

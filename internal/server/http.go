@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 )
 
@@ -56,6 +57,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+		return
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: trailing data"})
 		return
 	}
 	resp, err := s.Submit(r.Context(), &req)

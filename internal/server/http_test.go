@@ -200,3 +200,53 @@ func TestHTTPSnapshot(t *testing.T) {
 		}
 	}
 }
+
+// TestRetiredFieldsRejected pins the request fields that are gone: the
+// join-algorithm override ("physical", retired with the sort-merge join),
+// the aggregation-table override ("agg", retired when the engine became
+// the one place that picks the table) and the two plan-entry paths beside
+// SQL ("plan", the JSON plan DSL, and "prepared", server-registered named
+// plans). Each must get a clean 400 naming the field rather than be
+// silently ignored. A request without SQL text gets a 400 too, and so
+// does a body with anything after its JSON object, which would otherwise
+// run only the first of two statements.
+func TestRetiredFieldsRejected(t *testing.T) {
+	s, _ := newTPCHServer(t)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var msg bytes.Buffer
+		_, _ = msg.ReadFrom(resp.Body)
+		return resp.StatusCode, msg.String()
+	}
+	for _, tc := range []struct{ field, value string }{
+		{"physical", `"hash"`},
+		{"physical", `"auto"`},
+		{"agg", `"partitioned"`},
+		{"agg", `"shared"`},
+		{"plan", `{"from": "nation", "columns": ["n_name"]}`},
+		{"prepared", `"q1"`},
+	} {
+		body := fmt.Sprintf(`{"sql": "SELECT COUNT(*) AS n FROM nation", %q: %s}`, tc.field, tc.value)
+		if status, msg := post(body); status != http.StatusBadRequest || !strings.Contains(msg, tc.field) {
+			t.Errorf("%s=%s: status %d body %s, want 400 naming the field", tc.field, tc.value, status, msg)
+		}
+	}
+	for _, body := range []string{
+		`{}`,
+		`{"sql": ""}`,
+		`{"sql": "SELECT COUNT(*) AS n FROM nation"} {"sql": "SELECT COUNT(*) AS n FROM region"}`,
+		`{"sql": "SELECT COUNT(*) AS n FROM nation"} garbage`,
+		`{"sql": "SELECT COUNT(*) AS n FROM nation"}}`,
+	} {
+		if status, msg := post(body); status != http.StatusBadRequest {
+			t.Errorf("%s: status %d body %s, want 400", body, status, msg)
+		}
+	}
+}

@@ -64,14 +64,10 @@ type Config struct {
 	// Requests may lower it per query, never raise it.
 	MaxRows int
 	// PlanCacheSize caps the server-side LRU of compiled SQL statements
-	// keyed by SQL text and physical options (default 256, negative
+	// keyed by SQL text (default 256, negative
 	// disables caching). Cached statements skip parse/bind/optimize per
 	// request; ? placeholders bind per execution.
 	PlanCacheSize int
-	// Physical is the default physical-operator selection for SQL
-	// requests (agg: auto|shared|partitioned; the zero value is fully
-	// automatic). Requests may override it per query.
-	Physical sql.Physical
 	// FragTimeout bounds each distributed fragment RPC attempt,
 	// including streaming the fragment's response (default 30s). A peer
 	// that stops responding mid-query fails the query within this bound
@@ -160,10 +156,6 @@ type Request struct {
 	// refuses fall back to single-node execution transparently
 	// (Response.Distributed reports what actually happened).
 	Distributed bool `json:"distributed,omitempty"`
-	// PhysicalAgg overrides the server's default aggregation strategy
-	// for this statement: "auto", "shared" or "partitioned". The
-	// compiled plan is cached per (SQL text, physical options).
-	PhysicalAgg string `json:"agg,omitempty"`
 }
 
 // Response is one query result.
@@ -425,11 +417,7 @@ func (s *Server) resolvePlan(req *Request) (*core.Plan, error) {
 	if req.SQL == "" {
 		return nil, &BadRequestError{Msg: "missing \"sql\""}
 	}
-	ph := s.cfg.Physical
-	if req.PhysicalAgg != "" {
-		ph.Agg = req.PhysicalAgg
-	}
-	prep, err := s.prepareSQL(req.SQL, ph)
+	prep, err := s.prepareSQL(req.SQL)
 	if err != nil {
 		return nil, &BadRequestError{Msg: err.Error()}
 	}
@@ -448,28 +436,21 @@ func (s *Server) resolvePlan(req *Request) (*core.Plan, error) {
 }
 
 // prepareSQL compiles a statement through the plan cache: one parse /
-// bind / cost-based optimize per distinct (SQL text, physical options,
-// catalog version), shared by every subsequent request. The physical
-// options are part of the key because they change the compiled plan —
-// a forced-partitioned request must never serve an auto-compiled plan,
-// and vice versa.
-func (s *Server) prepareSQL(query string, ph sql.Physical) (*sql.Prepared, error) {
-	if err := ph.Validate(); err != nil {
-		return nil, err
-	}
+// bind / cost-based optimize per distinct (SQL text, catalog version),
+// shared by every subsequent request.
+func (s *Server) prepareSQL(query string) (*sql.Prepared, error) {
 	version := s.planVersion()
-	key := ph.Key() + "\x00" + query
 	if s.cache != nil {
-		if prep, ok := s.cache.get(key, version); ok {
+		if prep, ok := s.cache.get(query, version); ok {
 			return prep, nil
 		}
 	}
-	prep, err := sql.PrepareOpts(query, "sql", s.Table, ph)
+	prep, err := sql.Prepare(query, "sql", s.Table)
 	if err != nil {
 		return nil, err
 	}
 	if s.cache != nil {
-		s.cache.put(key, version, prep)
+		s.cache.put(query, version, prep)
 	}
 	return prep, nil
 }

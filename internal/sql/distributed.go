@@ -197,17 +197,15 @@ func Distribute(p *engine.Plan, topo ClusterTopo) (dp *DistPlan, err error) {
 			return fp
 		}
 	} else {
-		aggNode := spine[aggIdx]
-		groups, aggs := aggNode.AggInfo()
-		split := splitAgg(groups, aggs)
+		split := splitAgg(spine[aggIdx])
 
-		fPart := pp.f.GroupBy(groups, split.partial).SetEst(aggNode.Est())
+		fPart := pp.f.GroupBy(split.groups, split.partial).SetEst(split.est)
 		d.frag.Return(fPart)
 		dp.MainSchema = d.frag.OutSchema()
 
-		cPart := pp.c.GroupBy(groups, split.partial).SetEst(aggNode.Est())
+		cPart := pp.c.GroupBy(split.groups, split.partial).SetEst(split.est)
 		cn := cPart.Exchange(engine.ExchangeGather, nil, topo.Nodes).
-			SetEst(aggNode.Est() * float64(topo.Nodes))
+			SetEst(split.est * float64(topo.Nodes))
 		cn = split.finalize(cn)
 		cn = replayAbove(cn, spine[:max(aggIdx, 0)])
 		d.comb.ReturnSorted(cn, limit, keys...)
@@ -244,6 +242,11 @@ type aggSplit struct {
 	groups  []engine.NamedExpr
 	aggs    []engine.AggDef
 	partial []engine.AggDef
+	// est is the single-node aggregation's group estimate. Every phase
+	// carries it, because the engine picks each aggregation's table from
+	// its estimate: the partials and the merge then run on the engine the
+	// single-node plan would, whatever the merge's input estimates.
+	est float64
 }
 
 // splitAgg decomposes each aggregate into a per-node partial and a
@@ -252,8 +255,9 @@ type aggSplit struct {
 // out of the partial phase entirely — the engine counts rows once per
 // group anyway, so one hidden COUNT ($dist_n) serves every COUNT and
 // every AVG divisor.
-func splitAgg(groups []engine.NamedExpr, aggs []engine.AggDef) *aggSplit {
-	s := &aggSplit{groups: groups, aggs: aggs}
+func splitAgg(agg *engine.Node) *aggSplit {
+	groups, aggs := agg.AggInfo()
+	s := &aggSplit{groups: groups, aggs: aggs, est: agg.Est()}
 	for _, a := range aggs {
 		switch a.Kind {
 		case engine.AggSum, engine.AggAvg:
@@ -307,11 +311,7 @@ func (s *aggSplit) finalize(n *engine.Node) *engine.Node {
 		}
 	}
 	fAggs = append(fAggs, engine.Sum("$dist_n$t", engine.Col("$dist_n")))
-	est := n.Est()
-	n = n.GroupBy(fGroups, fAggs)
-	if est > 0 {
-		n.SetEst(est)
-	}
+	n = n.GroupBy(fGroups, fAggs).SetEst(s.est)
 	for _, a := range avgs {
 		n = n.Map(a.Name, engine.Div(
 			engine.ToFloat(engine.Col(a.Name+"$s")),

@@ -95,6 +95,57 @@ func TestDistributeQ3Placement(t *testing.T) {
 	}
 }
 
+// topAgg returns the first aggregation on p's probe spine, root first:
+// the merge phase of a distributed plan, the only one of a single-node
+// plan.
+func topAgg(p *engine.Plan) *engine.Node {
+	for n := p.Root(); n != nil; n = n.Input() {
+		if n.Kind() == engine.KindAgg {
+			return n
+		}
+	}
+	return nil
+}
+
+// explainLine returns the line of p's EXPLAIN that starts with op,
+// tree-drawing prefix stripped.
+func explainLine(p *engine.Plan, op string) string {
+	for _, line := range strings.Split(p.Explain(), "\n") {
+		if l := strings.TrimLeft(line, "│├└─ "); strings.HasPrefix(l, op) {
+			return l
+		}
+	}
+	return ""
+}
+
+// TestDistributeMergeEstimate: the coordinator's merge aggregation
+// carries the single-node aggregation's group estimate, in the Combined
+// plan EXPLAIN shows and in the Final plan the coordinator runs, so both
+// run the engine the single-node plan runs. Q3, Q7 and Q10 group on
+// enough keys at the test scale to partition.
+func TestDistributeMergeEstimate(t *testing.T) {
+	for _, q := range []int{3, 7, 10} {
+		p, dp := distributeQuery(t, q, 2)
+		want := topAgg(p).Est()
+		final := dp.Final(engine.NewStreamSource("gather"))
+		for name, got := range map[string]*engine.Plan{"Combined": dp.Combined, "Final": final} {
+			if est := topAgg(got).Est(); est != want {
+				t.Errorf("q%d %s: merge estimate %.0f, want the aggregation's %.0f", q, name, est, want)
+			}
+		}
+		merge := explainLine(final, "agg partitioned")
+		if merge == "" {
+			t.Errorf("q%d: the coordinator's merge does not partition:\n%s", q, final.Explain())
+		} else if !strings.Contains(dp.Combined.Explain(), merge) {
+			t.Errorf("q%d: Combined's merge differs from Final's %q:\n%s", q, merge, dp.Combined.Explain())
+		}
+		if n := strings.Count(dp.Combined.Explain(), "agg partitioned"); n != 2 {
+			t.Errorf("q%d: %d partitioned aggregations in Combined, want the partial and the merge:\n%s",
+				q, n, dp.Combined.Explain())
+		}
+	}
+}
+
 // TestDistributeQ12FullyLocal pins Q12's shape: orders and lineitem are
 // co-partitioned on orderkey, so the only exchange is the final gather.
 func TestDistributeQ12FullyLocal(t *testing.T) {

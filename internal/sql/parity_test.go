@@ -17,9 +17,9 @@ import (
 // The parity pin of the sort-merge trial (ARCHITECTURE.md, "Physical
 // operator selection"): testdata/tpch_hash_parent.golden holds the 22
 // TPC-H results captured at the last commit that still had the sort-merge
-// join, with every join forced to hash. The hash join is now the only join, so the
-// automatic plan must reproduce that file under every remaining physical
-// mode, worker count and runner. Integers and strings are compared
+// join, with every join forced to hash. The hash join is now the only
+// join, so the plan must reproduce that file with its aggregations on
+// either engine (physCompile), on every worker count and runner. Integers and strings are compared
 // exactly; float aggregates go through sameResults' relative tolerance,
 // because parallel summation order moves their last bits from run to run.
 
@@ -32,12 +32,12 @@ var parityTypeNames = map[string]engine.Type{"int": engine.TInt, "float": engine
 // writeParityGolden renders the suite's results: one "# Q<n>" header
 // with the column names and types, then one tab-separated line per row,
 // floats in their shortest exact form.
-func writeParityGolden(t *testing.T, s *engine.Session, ph Physical) string {
+func writeParityGolden(t *testing.T, s *engine.Session) string {
 	t.Helper()
 	cat := tpchCatalog()
 	var b strings.Builder
 	for _, n := range tpch.SQLCoverage() {
-		res, _ := s.Run(physCompile(t, tpch.MustSQLText(n, tpchDB.Cfg.SF), cat, ph))
+		res, _ := s.Run(physCompile(t, tpch.MustSQLText(n, tpchDB.Cfg.SF), cat, "auto"))
 		fmt.Fprintf(&b, "# Q%d", n)
 		for _, r := range res.Schema {
 			fmt.Fprintf(&b, "\t%s:%s", r.Name, r.Type)
@@ -130,7 +130,7 @@ func TestTPCHHashParityWithParent(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(parityGolden, []byte(writeParityGolden(t, goldenSession(), Physical{})), 0o644); err != nil {
+		if err := os.WriteFile(parityGolden, []byte(writeParityGolden(t, goldenSession())), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,7 +153,7 @@ func TestTPCHHashParityWithParent(t *testing.T) {
 					s.Dispatch.Workers = workers
 					s.Dispatch.MorselRows = 1000
 					for _, n := range tpch.SQLCoverage() {
-						p := physCompile(t, tpch.MustSQLText(n, tpchDB.Cfg.SF), cat, Physical{Agg: agg})
+						p := physCompile(t, tpch.MustSQLText(n, tpchDB.Cfg.SF), cat, agg)
 						got, _ := s.Run(p)
 						for i, r := range got.Schema {
 							if w := want[n].Schema[i]; r != w {

@@ -9,37 +9,74 @@ import (
 	"repro/internal/tpch"
 )
 
-// The physical-operator selection phase: forced and automatic
-// aggregation-strategy choice, EXPLAIN plan-shape pins with the cost
-// rationale, the hash-join-only pin, and full-suite result parity across
-// physical configurations.
+// The engine's aggregation-table choice as the SQL front end feeds it:
+// the automatic choices and their EXPLAIN rationale on TPC-H, the
+// hash-join-only pin, and full-suite result parity with every
+// aggregation pushed to either engine through its group estimate.
 
-// physCompile compiles under the given options or fails the test.
-func physCompile(t *testing.T, query string, cat Catalog, ph Physical) *engine.Plan {
+// forcedGroups is a group estimate far above the engine's threshold for
+// the partitioned aggregation.
+const forcedGroups = 1 << 20
+
+// physCompile compiles query or fails the test. agg "auto" keeps the
+// planner's estimates; "shared" and "partitioned" overwrite every
+// aggregation's group estimate with 0 or forcedGroups, the input the
+// engine picks the aggregation table from, so a test can run a plan on
+// either engine without an option that chooses it.
+func physCompile(t *testing.T, query string, cat Catalog, agg string) *engine.Plan {
 	t.Helper()
-	p, err := CompileOpts(query, "sql", cat, ph)
+	p, err := Compile(query, cat)
 	if err != nil {
-		t.Fatalf("compile under %+v: %v\n%s", ph, err, query)
+		t.Fatalf("compile: %v\n%s", err, query)
+	}
+	switch agg {
+	case "auto":
+	case "shared":
+		setAggEst(p, 0)
+	case "partitioned":
+		setAggEst(p, forcedGroups)
+	default:
+		t.Fatalf("unknown aggregation engine %q", agg)
 	}
 	return p
 }
 
-// TestTPCHPhysicalParity runs every covered TPC-H query under the three
-// aggregation configurations — forced shared, fully automatic, forced
-// partitioned — and asserts identical results. The physical phase may
-// only change how operators run, never what they produce.
+// setAggEst sets the group estimate of every aggregation in p.
+func setAggEst(p *engine.Plan, est float64) {
+	seen := map[*engine.Node]bool{}
+	var walk func(n *engine.Node)
+	walk = func(n *engine.Node) {
+		if n == nil || seen[n] {
+			return
+		}
+		seen[n] = true
+		for _, c := range n.UnionInputs() {
+			walk(c)
+		}
+		walk(n.Input())
+		walk(n.BuildInput())
+		if n.Kind() == engine.KindAgg {
+			n.SetEst(est)
+		}
+	}
+	walk(p.Root())
+}
+
+// TestTPCHPhysicalParity runs every covered TPC-H query with every
+// aggregation on the shared engine, with the planner's own estimates, and
+// with every grouped aggregation on the partitioned engine, and asserts
+// identical results. The engine choice may only change how an
+// aggregation runs, never what it produces.
 func TestTPCHPhysicalParity(t *testing.T) {
 	cat := tpchCatalog()
 	for _, n := range tpch.SQLCoverage() {
 		n := n
 		t.Run(fmt.Sprintf("Q%d", n), func(t *testing.T) {
 			query := tpch.MustSQLText(n, tpchDB.Cfg.SF)
-			base := physCompile(t, query, cat, Physical{Agg: "shared"})
-			want, _ := goldenSession().Run(base)
-			for _, ph := range []Physical{{}, {Agg: "partitioned"}} {
-				p := physCompile(t, query, cat, ph)
-				got, _ := goldenSession().Run(p)
-				sameResults(t, fmt.Sprintf("Q%d under %+v", n, ph), got, want, coverageOrdered[n])
+			want, _ := goldenSession().Run(physCompile(t, query, cat, "shared"))
+			for _, agg := range []string{"auto", "partitioned"} {
+				got, _ := goldenSession().Run(physCompile(t, query, cat, agg))
+				sameResults(t, fmt.Sprintf("Q%d with agg=%s", n, agg), got, want, coverageOrdered[n])
 			}
 		})
 	}
@@ -71,7 +108,7 @@ func TestPhysicalAutoSelections(t *testing.T) {
 	}
 	for _, pin := range pins {
 		query := tpch.MustSQLText(pin.q, tpchDB.Cfg.SF)
-		ex := physCompile(t, query, cat, Physical{}).Explain()
+		ex := physCompile(t, query, cat, "auto").Explain()
 		for _, w := range pin.want {
 			if !strings.Contains(ex, w) {
 				t.Errorf("Q%d: auto explain missing %q:\n%s", pin.q, w, ex)
@@ -88,7 +125,7 @@ func TestPhysicalAutoSelections(t *testing.T) {
 func TestJoinsAreHashJoins(t *testing.T) {
 	cat := tpchCatalog()
 	for _, n := range []int{3, 5, 9, 10, 18} {
-		ex := physCompile(t, tpch.MustSQLText(n, tpchDB.Cfg.SF), cat, Physical{}).Explain()
+		ex := physCompile(t, tpch.MustSQLText(n, tpchDB.Cfg.SF), cat, "auto").Explain()
 		joins := 0
 		for _, line := range strings.Split(ex, "\n") {
 			op := strings.TrimLeft(line, "│├└─ ")
@@ -109,59 +146,35 @@ func TestJoinsAreHashJoins(t *testing.T) {
 	}
 }
 
-// TestPhysicalForced pins the forced modes: "partitioned" flips every
-// grouped aggregation and says so in EXPLAIN; "shared" leaves the plan
-// free of any physical annotation.
+// TestPhysicalForced pins the engine's rule at its inputs: a grouped
+// aggregation runs partitioned once its estimate is high, and EXPLAIN
+// says so with the estimate; with no estimate it runs shared and carries
+// no annotation; a global aggregate never partitions, whatever its
+// estimate.
 func TestPhysicalForced(t *testing.T) {
 	cat := tpchCatalog()
 	q3 := tpch.MustSQLText(3, tpchDB.Cfg.SF)
 
-	ex := physCompile(t, q3, cat, Physical{Agg: "partitioned"}).Explain()
+	ex := physCompile(t, q3, cat, "partitioned").Explain()
 	for _, w := range []string{
 		"agg partitioned [l_orderkey, o_orderdate, o_shippriority]",
-		"[phys: partitioned (forced)]",
+		fmt.Sprintf("[phys: partitioned groups est=%d]", forcedGroups),
 	} {
 		if !strings.Contains(ex, w) {
-			t.Errorf("forced Q3 explain missing %q:\n%s", w, ex)
+			t.Errorf("high-estimate Q3 explain missing %q:\n%s", w, ex)
 		}
 	}
 
-	ex = physCompile(t, q3, cat, Physical{Agg: "shared"}).Explain()
+	ex = physCompile(t, q3, cat, "shared").Explain()
 	for _, bad := range []string{"partitioned", "[phys"} {
 		if strings.Contains(ex, bad) {
-			t.Errorf("forced-shared Q3 explain contains %q:\n%s", bad, ex)
+			t.Errorf("no-estimate Q3 explain contains %q:\n%s", bad, ex)
 		}
 	}
 
-	// Global aggregates never flip, even forced: Q6 has one group.
-	ex = physCompile(t, tpch.MustSQLText(6, tpchDB.Cfg.SF), cat, Physical{Agg: "partitioned"}).Explain()
+	// Q6 has one group.
+	ex = physCompile(t, tpch.MustSQLText(6, tpchDB.Cfg.SF), cat, "partitioned").Explain()
 	if strings.Contains(ex, "partitioned") {
-		t.Errorf("forced-partitioned Q6 partitioned its global aggregate:\n%s", ex)
-	}
-}
-
-// TestPhysicalValidate covers option validation and cache-key
-// canonicalization.
-func TestPhysicalValidate(t *testing.T) {
-	for _, ph := range []Physical{{}, {Agg: "auto"}, {Agg: "shared"}, {Agg: "partitioned"}} {
-		if err := ph.Validate(); err != nil {
-			t.Errorf("%+v: unexpected error %v", ph, err)
-		}
-	}
-	if err := (Physical{Agg: "radix"}).Validate(); err == nil ||
-		!strings.Contains(err.Error(), "unknown aggregation strategy") {
-		t.Errorf("Agg=radix: want unknown-strategy error, got %v", err)
-	}
-	if got, want := (Physical{}).Key(), "agg=auto"; got != want {
-		t.Errorf("zero Key() = %q, want %q", got, want)
-	}
-	if (Physical{}).Key() != (Physical{Agg: "auto"}).Key() {
-		t.Error("zero value and explicit auto must share a cache key")
-	}
-	if (Physical{Agg: "partitioned"}).Key() == (Physical{}).Key() {
-		t.Error("forced partitioned must not share the auto cache key")
-	}
-	if _, err := CompileOpts("SELECT id FROM emp", "sql", testCatalog(), Physical{Agg: "sorted"}); err == nil {
-		t.Error("CompileOpts accepted an unknown aggregation strategy")
+		t.Errorf("high-estimate Q6 partitioned its global aggregate:\n%s", ex)
 	}
 }

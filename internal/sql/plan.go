@@ -19,30 +19,26 @@ func Compile(query string, cat Catalog) (*engine.Plan, error) {
 // CompileNamed compiles with an explicit plan name (used by the server
 // for stats labeling).
 func CompileNamed(query, name string, cat Catalog) (*engine.Plan, error) {
-	return CompileOpts(query, name, cat, Physical{})
-}
-
-// CompileOpts compiles with explicit physical-operator options.
-func CompileOpts(query, name string, cat Catalog, ph Physical) (*engine.Plan, error) {
 	stmt, err := Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	return PlanSelectOpts(stmt, name, cat, ph)
+	return PlanSelect(stmt, name, cat)
 }
 
-// PlanSelect binds, optimizes and lowers a parsed statement with
-// automatic physical-operator selection.
-func PlanSelect(stmt *Select, name string, cat Catalog) (*engine.Plan, error) {
-	return PlanSelectOpts(stmt, name, cat, Physical{})
+// Physical is empty and PlanSelectOpts ignores it; both exist only so
+// the wall-clock benchmark (benchmark/layers.go), which may not change
+// alongside the engine, keeps compiling. The engine picks each
+// aggregation's table from its group estimate.
+type Physical struct{}
+
+// PlanSelectOpts is PlanSelect; see Physical.
+func PlanSelectOpts(stmt *Select, name string, cat Catalog, _ Physical) (*engine.Plan, error) {
+	return PlanSelect(stmt, name, cat)
 }
 
-// PlanSelectOpts binds, optimizes and lowers a parsed statement, then
-// runs the physical-operator selection phase under the given options.
-func PlanSelectOpts(stmt *Select, name string, cat Catalog, ph Physical) (p *engine.Plan, err error) {
-	if ph, err = ph.normalize(); err != nil {
-		return nil, err
-	}
+// PlanSelect binds, optimizes and lowers a parsed statement.
+func PlanSelect(stmt *Select, name string, cat Catalog) (p *engine.Plan, err error) {
 	// The engine's plan builders report type errors by panicking (plan
 	// literals are normally programmer-controlled); SQL comes from
 	// clients, so convert the remaining panics into errors.
@@ -52,11 +48,7 @@ func PlanSelectOpts(stmt *Select, name string, cat Catalog, ph Physical) (p *eng
 		}
 	}()
 	pl := &planner{cat: cat, name: name, ep: engine.NewPlan(name)}
-	if p, err = pl.plan(stmt); err != nil {
-		return nil, err
-	}
-	applyPhysical(p, ph)
-	return p, nil
+	return pl.plan(stmt)
 }
 
 // maxSubDepth bounds planner recursion through scalar subqueries and

@@ -20,18 +20,11 @@ type Prepared struct {
 // Prepare compiles one SELECT statement (which may contain ? parameter
 // placeholders) into a reusable prepared statement.
 func Prepare(query, name string, cat Catalog) (*Prepared, error) {
-	return PrepareOpts(query, name, cat, Physical{})
-}
-
-// PrepareOpts prepares with explicit physical-operator options. The
-// options shape the compiled plan itself, so plan caches keyed on the
-// query text must include Physical.Key in the cache key.
-func PrepareOpts(query, name string, cat Catalog, ph Physical) (*Prepared, error) {
 	stmt, err := Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	p, err := PlanSelectOpts(stmt, name, cat, ph)
+	p, err := PlanSelect(stmt, name, cat)
 	if err != nil {
 		return nil, err
 	}

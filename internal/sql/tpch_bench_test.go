@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"flag"
 	"fmt"
 	"runtime"
 	"sync"
@@ -13,8 +14,9 @@ import (
 	"repro/internal/tpch"
 )
 
-// benchSF is BenchmarkTPCH's scale factor: ~600 000 lineitem rows.
-const benchSF = 0.1
+// benchSF is BenchmarkTPCH's scale factor. The default 0.1 is ~600 000
+// lineitem rows; -tpch.sf 1 measures the ten-times-larger scale.
+var benchSF = flag.Float64("tpch.sf", 0.1, "TPC-H scale factor of BenchmarkTPCH")
 
 var (
 	benchOnce sync.Once
@@ -27,7 +29,7 @@ var (
 func benchCatalog() Catalog {
 	benchOnce.Do(func() {
 		m := numa.NehalemEXMachine()
-		db := tpch.Generate(tpch.Config{SF: benchSF, Partitions: 32, Sockets: m.Topo.Sockets, Seed: 42})
+		db := tpch.Generate(tpch.Config{SF: *benchSF, Partitions: 32, Sockets: m.Topo.Sockets, Seed: 42})
 		tables := map[string]*storage.Table{}
 		for _, t := range []*storage.Table{db.Region, db.Nation, db.Supplier, db.Customer,
 			db.Part, db.PartSupp, db.Orders, db.Lineitem} {
@@ -39,14 +41,16 @@ func benchCatalog() Catalog {
 }
 
 // BenchmarkTPCH runs each TPC-H statement end to end through the SQL
-// front end (parse, plan, execute) at SF 0.1 on real workers: GOMAXPROCS
-// of them, 100 000-row morsels. Allocations are reported per query.
+// front end (parse, plan, execute) at SF -tpch.sf (default 0.1) on real
+// workers: GOMAXPROCS of them, 100 000-row morsels. Allocations are
+// reported per query.
 //
 //	go test -run '^$' -bench 'BenchmarkTPCH/q(9|18)$' -count 5 ./internal/sql/
+//	go test -run '^$' -bench 'BenchmarkTPCH/q(9|18)$' -count 5 ./internal/sql/ -tpch.sf 1
 func BenchmarkTPCH(b *testing.B) {
 	cat := benchCatalog()
 	for _, n := range tpch.SQLCoverage() {
-		query := tpch.MustSQLText(n, benchSF)
+		query := tpch.MustSQLText(n, *benchSF)
 		b.Run(fmt.Sprintf("q%d", n), func(b *testing.B) {
 			s := engine.NewSession(numa.NehalemEXMachine())
 			s.Mode = engine.Real

@@ -15,10 +15,9 @@
 //	morseld -exec 'SELECT COUNT(*) AS n FROM orders WHERE day < ?' -params '[7]'
 //	morseld -exec 'SELECT ...' -explain   # optimized plan with cardinality estimates
 //
-// Every SQL join runs as the pipelined hash join; every grouped
-// aggregation with an estimated 4 096 groups or more runs on the
-// partitioned aggregation table, the others on the shared one (EXPLAIN
-// shows which).
+// Every SQL join runs as the pipelined hash join, and every aggregation
+// as the two-phase aggregation: a worker's one table, promoted to hash
+// partition tables once it would pass 16 384 groups.
 //
 // With -data-dir the dataset persists across restarts: the first run
 // generates it, seals every table into an on-disk columnar snapshot

@@ -147,8 +147,8 @@ func Figure12(w io.Writer, cfg Config) {
 // workers; the short Q14 arrives mid-flight; workers must migrate to it
 // at morsel boundaries and return when it finishes. The paper's long
 // query is Q13, whose cost at SF 100 is dominated by a 15M-group
-// aggregation; at this reproduction's scale that aggregation fits in the
-// pre-aggregation table and Q13 shrinks to Q14's size, so the longest
+// aggregation; at this reproduction's scale that aggregation fits in a
+// worker's one table and Q13 shrinks to Q14's size, so the longest
 // query at our scale — Q9 — plays its role (same duration ratio as the
 // paper's pair).
 func Figure13(w io.Writer, cfg Config) {

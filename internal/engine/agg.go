@@ -6,45 +6,50 @@ import (
 	"repro/internal/storage"
 )
 
-// aggNumPartitions is the number of overflow partitions ("more partitions
-// than worker threads", §4.4).
+// aggNumPartitions is the number of hash partitions phase 2 merges ("more
+// partitions than worker threads", §4.4).
 const aggNumPartitions = 64
 
-// partitionedAggMinGroups is the estimated group count from which an
-// aggregation runs the partitioned engine. Below it the capped
-// thread-local table holds every group and the per-worker-per-partition
-// tables only add merge work.
-const partitionedAggMinGroups = 4_096
-
-// partitioned reports whether the aggregation n runs the partitioned
-// engine (Memarzia et al.'s strategy) instead of the shared one (§4.4):
-// it is grouped, and its estimated group count reaches
-// partitionedAggMinGroups. A global aggregate has one group, and a plan
-// built without estimates runs shared. The compiler and Explain both ask
-// this one predicate, so EXPLAIN always names the engine that runs, on
-// every node of a distributed plan alike.
-func (n *Node) partitioned() bool {
-	return len(n.groups) > 0 && n.estRows >= partitionedAggMinGroups
-}
-
-// DefaultPreAggCapacity is the size of the fixed, thread-local
-// pre-aggregation hash table; keys beyond it spill to overflow
-// partitions. Tests shrink it to force spilling.
+// DefaultPreAggCapacity is the number of groups a worker's one
+// thread-local table holds; the group that would take it past this
+// promotes the worker to one table per partition. Tests shrink it to force
+// promotion.
 var DefaultPreAggCapacity = 1 << 14
 
-// aggRuntime is the state both aggregation engines share: the typed
-// grouping and aggregate definitions, and the phase-2 job that merges one
-// hash partition per task.
+// aggRuntime is the paper's two-phase parallel aggregation (§4.4). In
+// phase 1 each worker aggregates into one thread-local table. A worker
+// whose table would pass the cap promotes: it moves every group, whole,
+// into aggNumPartitions tables and routes by partition from then on, so a
+// group has exactly one partial per worker and each accumulator sees its
+// rows in scan order wherever the worker promotes. Phase 2 merges one
+// partition of every worker's partials per task.
 type aggRuntime struct {
 	c          *compiler
 	groups     []NamedExpr
 	groupTypes []Type
 	aggs       []AggDef
 	outTypes   []Type
+	capacity   int
+	rowW       int64      // modelled bytes of one group a promoted worker writes
+	locals     []aggLocal // per worker
+}
+
+// aggLocal is one worker's phase-1 output: its one table, or after
+// promotion its partition tables.
+type aggLocal struct {
+	tab   *groupTable
+	parts []*groupTable
+	// order lists tab's entry numbers by partition, entry order kept
+	// within one: partition p's are order[starts[p]:starts[p+1]]. The
+	// activation of phase 2 sets it.
+	order  []int32
+	starts [aggNumPartitions + 1]int32
 }
 
 func (c *compiler) newAggRuntime(n *Node) *aggRuntime {
-	rt := &aggRuntime{c: c, groups: n.groups, aggs: n.aggs}
+	rt := &aggRuntime{c: c, groups: n.groups, aggs: n.aggs,
+		capacity: DefaultPreAggCapacity, rowW: int64(rowWidth(n.out)),
+		locals: make([]aggLocal, c.workers)}
 	for _, g := range n.groups {
 		rt.groupTypes = append(rt.groupTypes, typeOf(g.E, n.child.out))
 	}
@@ -70,21 +75,58 @@ func (rt *aggRuntime) sinkWeight() float64 {
 	return w
 }
 
-// aggEngine is what sets the two aggregation engines apart in phase 1:
-// where a row lands once its group key is encoded and hashed (h).
-type aggEngine interface {
-	// group returns the table the key aggregates into on this worker and
-	// its group there, creating the group where the engine has room; g < 0
-	// means the key is cold, and spill takes the row.
-	group(e *Ectx, h uint64, key []byte) (tab *groupTable, g int)
-	// spill takes a row of a cold key, with its aggregate inputs.
-	spill(e *Ectx, h uint64, key []byte, tuple []float64)
+// table returns the worker's one table, creating it.
+func (rt *aggRuntime) table(l *aggLocal) *groupTable {
+	if l.tab == nil {
+		l.tab = newGroupTable(rt.aggs, 0, 0)
+	}
+	return l.tab
 }
 
-// sink compiles phase 1's row entry, which both engines share: per row it
-// encodes the group key into e.key, evaluates the aggregate inputs into
-// the worker's tuple scratch, charges the CPU weight, and lands the row.
-func (rt *aggRuntime) sink(pc *pipeCtx, eng aggEngine) rowFn {
+// full reports whether a new group would take tab past the cap; a global
+// aggregate's one group always fits.
+func (rt *aggRuntime) full(tab *groupTable) bool {
+	return len(rt.groups) > 0 && tab.len() >= rt.capacity
+}
+
+// promote moves every group of the worker's one table into
+// aggNumPartitions tables and drops the table. Each partition table is
+// sized from the table it replaces, for one and a half times its share of
+// the groups and key bytes: room for the spread of the shares and for the
+// groups a worker at the cap is still adding, with less to overshoot at
+// each doubling than twice its share would leave. A promoted worker
+// writes every group it moves or creates.
+func (rt *aggRuntime) promote(e *Ectx, l *aggLocal) {
+	old := rt.table(l)
+	l.parts = make([]*groupTable, aggNumPartitions)
+	n, keyBytes := 3*old.len()/(2*aggNumPartitions)+1, 3*len(old.keys)/(2*aggNumPartitions)+1
+	for p := range l.parts {
+		l.parts[p] = newGroupTable(rt.aggs, n, keyBytes)
+	}
+	for g, h := range old.hashes {
+		l.parts[aggPartition(h)].mergeEntry(old, g)
+	}
+	e.writeBytes += rt.rowW * int64(old.len())
+	l.tab = nil
+}
+
+// partGroup finds or creates the key's group in its partition's table
+// of the promoted worker l.
+func (rt *aggRuntime) partGroup(e *Ectx, l *aggLocal, h uint64, key []byte) (*groupTable, int) {
+	tab := l.parts[aggPartition(h)]
+	g := tab.find(h, key)
+	if g < 0 {
+		g = tab.insert(h, key)
+		e.writeBytes += rt.rowW
+	}
+	return tab, g
+}
+
+// sink compiles phase 1's row entry: per row it encodes the group key into
+// e.key, evaluates the aggregate inputs into the worker's tuple scratch,
+// charges the CPU weight, and merges the row into its group, promoting the
+// worker at the insert that would pass the cap.
+func (rt *aggRuntime) sink(pc *pipeCtx) rowFn {
 	groupFns := make([]evalFn, len(rt.groups))
 	w := rt.sinkWeight()
 	for i, g := range rt.groups {
@@ -124,11 +166,21 @@ func (rt *aggRuntime) sink(pc *pipeCtx, eng aggEngine) rowFn {
 			}
 		}
 		h := hashBytes(e.key)
-		if tab, g := eng.group(e, h, e.key); g >= 0 {
-			tab.merge(g, tuple, 1)
-		} else {
-			eng.spill(e, h, e.key, tuple)
+		l := &rt.locals[e.W.ID]
+		if l.parts == nil {
+			tab := rt.table(l)
+			g := tab.find(h, e.key)
+			if g < 0 && !rt.full(tab) {
+				g = tab.insert(h, e.key)
+			}
+			if g >= 0 {
+				tab.merge(g, tuple, 1)
+				return
+			}
+			rt.promote(e, l)
 		}
+		tab, g := rt.partGroup(e, l, h, e.key)
+		tab.merge(g, tuple, 1)
 	}
 }
 
@@ -136,29 +188,91 @@ func (rt *aggRuntime) sink(pc *pipeCtx, eng aggEngine) rowFn {
 // register of pc is a column the scan reads — nothing but (zero-cost)
 // projections and batch semi or anti probes sit between the scan and the
 // aggregation — and the row sink otherwise.
-func (rt *aggRuntime) consumer(pc *pipeCtx, eng aggEngine) consumer {
+func (rt *aggRuntime) consumer(pc *pipeCtx) consumer {
 	if pc.scanCols != nil && !pc.rowOnly && len(pc.regs) == len(pc.scanCols) {
-		return consumer{batch: rt.batchSink(pc, eng)}
+		return consumer{batch: rt.batchSink(pc)}
 	}
-	return consumer{row: rt.sink(pc, eng)}
+	return consumer{row: rt.sink(pc)}
 }
 
-// phase2 compiles the partition-wise final aggregation both engines
-// share: each task merges one hash partition of every worker's phase-1
-// output (source(worker, partition), nil when empty) into a worker-local
-// table and immediately pushes the finished groups into the consuming
-// pipeline while they are cache hot (§4.4). setup runs at activation,
-// after phase 1; pending reports the phase-1 entry count a plan-driven
+// activate runs when phase 2 starts, after phase 1: it orders every
+// unpromoted table's entry numbers by partition with one counting sort,
+// so phase 2 reads those tables in place.
+func (rt *aggRuntime) activate() {
+	for wid := range rt.locals {
+		l := &rt.locals[wid]
+		if l.tab == nil {
+			continue
+		}
+		l.starts = [aggNumPartitions + 1]int32{}
+		for _, h := range l.tab.hashes {
+			l.starts[aggPartition(h)+1]++
+		}
+		for p := 1; p <= aggNumPartitions; p++ {
+			l.starts[p] += l.starts[p-1]
+		}
+		next := l.starts
+		l.order = make([]int32, l.tab.len())
+		for g, h := range l.tab.hashes {
+			p := aggPartition(h)
+			l.order[next[p]] = int32(g)
+			next[p]++
+		}
+	}
+}
+
+// groups is the number of the worker's phase-1 partials.
+func (l *aggLocal) groups() int {
+	n := 0
+	if l.tab != nil {
+		n = l.tab.len()
+	}
+	for _, tab := range l.parts {
+		n += tab.len()
+	}
+	return n
+}
+
+// groupCount is the number of phase-1 partials, what a plan-driven
 // exchange would hand over.
-func (rt *aggRuntime) phase2(name string, tails []tailJob, f consumerFactory,
-	setup func(), pending func() int64, source func(wid, pid int) *groupRows) []tailJob {
+func (rt *aggRuntime) groupCount() int64 {
+	var total int64
+	for wid := range rt.locals {
+		total += int64(rt.locals[wid].groups())
+	}
+	return total
+}
+
+// mergePartition folds worker wid's partials of partition pid into dst
+// and returns the modelled bytes read.
+func (rt *aggRuntime) mergePartition(dst *groupTable, wid, pid int) int64 {
+	var read int64
+	l := &rt.locals[wid]
+	if l.parts != nil {
+		src := l.parts[pid]
+		for i := range src.hashes {
+			read += dst.mergeEntry(src, i)
+		}
+	} else if l.tab != nil {
+		for _, i := range l.order[l.starts[pid]:l.starts[pid+1]] {
+			read += dst.mergeEntry(l.tab, int(i))
+		}
+	}
+	return read
+}
+
+// phase2 compiles the partition-wise final aggregation: each task merges
+// one hash partition of every worker's phase-1 output into a worker-local
+// table and immediately pushes the finished groups into the consuming
+// pipeline while they are cache hot (§4.4).
+func (rt *aggRuntime) phase2(tails []tailJob, f consumerFactory) []tailJob {
 	c := rt.c
 	if c.sess.PlanDriven {
 		// Volcano: serialized hand-off of the repartitioned partial
 		// aggregates. A Volcano-style parallel aggregation exchanges
 		// partial aggregates, not raw input rows, so the traffic is
 		// charged here, not per row.
-		tails = []tailJob{c.serialBarrier("exchange(agg)", tails, pending)}
+		tails = []tailJob{c.serialBarrier("exchange(agg)", tails, rt.groupCount)}
 	}
 	pc2 := c.newPipe()
 	for i, g := range rt.groups {
@@ -172,11 +286,9 @@ func (rt *aggRuntime) phase2(name string, tails []tailJob, f consumerFactory,
 	globalAgg := len(rt.groups) == 0
 	merged := make([]*groupTable, c.workers) // per worker, reused across its tasks
 	var drv *driver
-	job := c.q.AddJob(name,
+	job := c.q.AddJob("aggregate",
 		func() []*storage.Partition {
-			if setup != nil {
-				setup()
-			}
+			rt.activate()
 			nPart := aggNumPartitions
 			if globalAgg {
 				nPart = 1
@@ -196,7 +308,7 @@ func (rt *aggRuntime) phase2(name string, tails []tailJob, f consumerFactory,
 			e.reset(w)
 			tab := merged[w.ID]
 			if tab == nil {
-				tab = newGroupTable(rt.aggs)
+				tab = newGroupTable(rt.aggs, 0, 0)
 				merged[w.ID] = tab
 			}
 			tab.reset()
@@ -204,9 +316,7 @@ func (rt *aggRuntime) phase2(name string, tails []tailJob, f consumerFactory,
 			for wid := 0; wid < c.workers; wid++ {
 				var readBytes int64
 				for pid := lo; pid < hi; pid++ {
-					if src := source(wid, pid); src != nil {
-						readBytes += tab.mergeFrom(src)
-					}
+					readBytes += rt.mergePartition(tab, wid, pid)
 				}
 				// Worker wid's phase-1 output lives on its socket;
 				// phase 2 pulls it across the fabric.
@@ -240,62 +350,6 @@ func (rt *aggRuntime) phase2(name string, tails []tailJob, f consumerFactory,
 	return []tailJob{job}
 }
 
-// sharedAgg is the phase-1 state of the two-phase aggregation: one
-// capacity-capped pre-aggregation table per worker, and the overflow
-// partitions cold keys spill to.
-type sharedAgg struct {
-	rt       *aggRuntime
-	capacity int
-	locals   []*groupTable
-	spills   [][]groupRows // [worker][partition]
-	rowW     int64         // modelled bytes of one spilled row
-}
-
-func (c *compiler) newSharedAgg(n *Node) *sharedAgg {
-	return &sharedAgg{
-		rt: c.newAggRuntime(n), capacity: DefaultPreAggCapacity,
-		locals: make([]*groupTable, c.workers),
-		spills: make([][]groupRows, c.workers),
-		rowW:   int64(rowWidth(n.out)),
-	}
-}
-
-func (s *sharedAgg) local(wid int) *groupTable {
-	if s.locals[wid] == nil {
-		s.locals[wid] = newGroupTable(s.rt.aggs)
-	}
-	return s.locals[wid]
-}
-
-func (s *sharedAgg) spillOf(wid, pid int) *groupRows {
-	if s.spills[wid] == nil {
-		s.spills[wid] = make([]groupRows, aggNumPartitions)
-		for p := range s.spills[wid] {
-			s.spills[wid][p].aggs = s.rt.aggs
-		}
-	}
-	return &s.spills[wid][pid]
-}
-
-// group finds the key's group in the worker's pre-aggregation table,
-// creating it while the table has room; a key that finds none is cold.
-func (s *sharedAgg) group(e *Ectx, h uint64, key []byte) (*groupTable, int) {
-	local := s.local(e.W.ID)
-	g := local.find(h, key)
-	if g < 0 && local.len() < s.capacity {
-		g = local.insert(h, key)
-	}
-	return local, g
-}
-
-// spill routes the single-tuple partial of a cold key straight to its
-// overflow partition, without creating a group.
-func (s *sharedAgg) spill(e *Ectx, h uint64, key []byte, tuple []float64) {
-	buf := s.spillOf(e.W.ID, aggPartition(h))
-	buf.merge(buf.add(h, key), tuple, 1)
-	e.writeBytes += s.rowW
-}
-
 // keyPart is one group key of the batch sink: a scan column encoded
 // straight from its slice, or (col < 0) any other expression evaluated by
 // the row evaluator over the registers it reads.
@@ -306,15 +360,37 @@ type keyPart struct {
 	fill regFill
 }
 
-// batchSink is phase 1's batch entry, which both engines share: per chunk
-// it evaluates the aggregate inputs as vector kernels over the selected
-// rows, then resolves each row's group key and lands the row. Rows whose
-// group lies in the table the chunk's first group does (for the shared
-// engine, every group) are folded afterwards, one loop per aggregate over
-// the chunk's vectors; any other row is merged or spilled on the spot with
-// its inputs. Rows reach every accumulator in scan order, so the sums are
-// bit-identical to the row sink's.
-func (rt *aggRuntime) batchSink(pc *pipeCtx, eng aggEngine) func(e *Ectx, b *colBatch) {
+// encodeKey encodes row j's group key of chunk b into e.key and returns
+// its hash.
+func encodeKey(e *Ectx, keys []keyPart, b *colBatch, j int) uint64 {
+	r := b.row(j)
+	e.key = e.key[:0]
+	for i := range keys {
+		switch kp := &keys[i]; {
+		case kp.col < 0:
+			kp.fill.row(e, b.cols, r)
+			e.key = encodeVal(e.key, kp.t, kp.fn(e))
+		case kp.t == TInt:
+			e.key = appendKeyInt(e.key, b.cols[kp.col].Ints[r])
+		case kp.t == TFloat:
+			e.key = appendKeyFloat(e.key, b.cols[kp.col].Flts[r])
+		default:
+			e.key = appendKeyStr(e.key, b.cols[kp.col].Strs[r])
+		}
+	}
+	return hashBytes(e.key)
+}
+
+// batchSink is phase 1's batch entry: per chunk it evaluates the aggregate
+// inputs as vector kernels over the selected rows, resolves each row's
+// group, and folds the rows afterwards, one loop per aggregate over the
+// chunk's vectors. On a worker that promotes within the chunk, the rows
+// before the promoting one fold into the one table before it moves. On a
+// promoted worker, rows whose partition table differs from the chunk's
+// first group's are merged on the spot with their inputs. Rows reach every
+// accumulator in scan order, so the sums are bit-identical to the row
+// sink's.
+func (rt *aggRuntime) batchSink(pc *pipeCtx) func(e *Ectx, b *colBatch) {
 	w := rt.sinkWeight()
 	keys := make([]keyPart, len(rt.groups))
 	for i, g := range rt.groups {
@@ -345,18 +421,41 @@ func (rt *aggRuntime) batchSink(pc *pipeCtx, eng aggEngine) func(e *Ectx, b *col
 		for _, step := range prog.steps {
 			step(e, b)
 		}
+		l := &rt.locals[e.W.ID]
 		if len(keys) == 0 {
-			if tab, g := eng.group(e, globalHash, nil); g >= 0 {
-				for k, sl := range slots {
-					if sl >= 0 {
-						tab.foldInto(g, k, e.vecs[sl][:rows])
-					}
+			tab := rt.table(l)
+			g := tab.find(globalHash, nil)
+			if g < 0 {
+				g = tab.insert(globalHash, nil)
+			}
+			for k, sl := range slots {
+				if sl >= 0 {
+					tab.foldInto(g, k, e.vecs[sl][:rows])
 				}
-				tab.counts[g] += int64(rows)
+			}
+			tab.counts[g] += int64(rows)
+			return
+		}
+		gids := e.gids[:rows]
+		j := 0
+		if l.parts == nil {
+			tab := rt.table(l)
+			for ; j < rows; j++ {
+				h := encodeKey(e, keys, b, j)
+				g := tab.find(h, e.key)
+				if g < 0 {
+					if rt.full(tab) {
+						break
+					}
+					g = tab.insert(h, e.key)
+				}
+				gids[j] = int32(g)
+			}
+			foldRows(tab, slots, e.vecs, gids[:j], 0)
+			if j == rows {
 				return
 			}
-			// Only a zero-capacity table sends the one global group down
-			// the row-by-row path below.
+			rt.promote(e, l)
 		}
 		if cap(e.tuple) < len(slots) {
 			e.tuple = make([]float64, len(slots))
@@ -364,48 +463,32 @@ func (rt *aggRuntime) batchSink(pc *pipeCtx, eng aggEngine) func(e *Ectx, b *col
 		tuple := e.tuple[:len(slots)]
 		clear(tuple)
 		var folded *groupTable
-		gids := e.gids[:rows]
-		for j := range gids {
-			r := b.row(j)
-			e.key = e.key[:0]
-			for i := range keys {
-				switch kp := &keys[i]; {
-				case kp.col < 0:
-					kp.fill.row(e, b.cols, r)
-					e.key = encodeVal(e.key, kp.t, kp.fn(e))
-				case kp.t == TInt:
-					e.key = appendKeyInt(e.key, b.cols[kp.col].Ints[r])
-				case kp.t == TFloat:
-					e.key = appendKeyFloat(e.key, b.cols[kp.col].Flts[r])
-				default:
-					e.key = appendKeyStr(e.key, b.cols[kp.col].Strs[r])
-				}
-			}
-			h := hashBytes(e.key)
-			tab, g := eng.group(e, h, e.key)
+		for k := j; k < rows; k++ {
+			tab, g := rt.partGroup(e, l, encodeKey(e, keys, b, k), e.key)
 			switch {
-			case g < 0:
-				eng.spill(e, h, e.key, rowTuple(tuple, slots, e.vecs, j))
 			case folded == nil:
 				folded = tab
 			case tab != folded:
-				tab.merge(g, rowTuple(tuple, slots, e.vecs, j), 1)
+				tab.merge(g, rowTuple(tuple, slots, e.vecs, k), 1)
 				g = -1
 			}
-			gids[j] = int32(g)
+			gids[k] = int32(g)
 		}
-		if folded == nil {
-			return
+		foldRows(folded, slots, e.vecs, gids[j:], j)
+	}
+}
+
+// foldRows folds the chunk's rows off, off+1, ... into tab: gids holds
+// their entries, negative for rows already merged elsewhere.
+func foldRows(tab *groupTable, slots []int, vecs [][]float64, gids []int32, off int) {
+	for k, sl := range slots {
+		if sl >= 0 {
+			tab.fold(gids, k, vecs[sl][off:off+len(gids)])
 		}
-		for k, sl := range slots {
-			if sl >= 0 {
-				folded.fold(gids, k, e.vecs[sl][:rows])
-			}
-		}
-		for _, g := range gids {
-			if g >= 0 {
-				folded.counts[g]++
-			}
+	}
+	for _, g := range gids {
+		if g >= 0 {
+			tab.counts[g]++
 		}
 	}
 }
@@ -421,115 +504,8 @@ func rowTuple(tuple []float64, slots []int, vecs [][]float64, j int) []float64 {
 	return tuple
 }
 
-// produceAgg compiles the paper's two-phase parallel aggregation: phase 1
-// pre-aggregates heavy hitters in a fixed-size thread-local table and
-// spills cold keys to hash partitions; phase 2 assigns each partition to
-// one worker (§4.4).
+// produceAgg compiles the two-phase parallel aggregation (§4.4).
 func (c *compiler) produceAgg(n *Node, f consumerFactory) []tailJob {
-	s := c.newSharedAgg(n)
-	rt := s.rt
-	tails := n.child.produce(c, func(pc *pipeCtx) consumer { return rt.consumer(pc, s) })
-
-	return rt.phase2("aggregate", tails, f,
-		func() {
-			// Flush every worker's pre-aggregation table into the
-			// overflow partitions; afterwards the partitions hold the
-			// complete grouped data.
-			for wid, local := range s.locals {
-				if local == nil {
-					continue
-				}
-				for g, h := range local.hashes {
-					buf := s.spillOf(wid, aggPartition(h))
-					buf.merge(buf.add(h, local.key(g)), local.accsOf(g), local.counts[g])
-				}
-			}
-		},
-		func() int64 {
-			var total int64
-			for wid := range s.spills {
-				for p := range s.spills[wid] {
-					total += int64(s.spills[wid][p].len())
-				}
-				if s.locals[wid] != nil {
-					total += int64(s.locals[wid].len())
-				}
-			}
-			return total
-		},
-		func(wid, pid int) *groupRows {
-			if s.spills[wid] == nil {
-				return nil
-			}
-			return &s.spills[wid][pid]
-		})
-}
-
-// partAgg is the phase-1 state of the partitioned aggregation alternative
-// (Memarzia et al., "Toward Efficient In-memory Data Analytics on NUMA
-// Systems"): every group goes straight into one of aggNumPartitions
-// per-worker tables selected by the group hash — no capacity cap and no
-// separate spill path, trading per-worker memory for never evicting hot
-// keys. parts[worker][partition] is a private table: workers never share
-// tables in phase 1, partitions never share workers in phase 2.
-type partAgg struct {
-	rt    *aggRuntime
-	parts [][]*groupTable
-	rowW  int64 // modelled bytes of one new group
-}
-
-func (c *compiler) newPartAgg(n *Node) *partAgg {
-	return &partAgg{rt: c.newAggRuntime(n), parts: make([][]*groupTable, c.workers), rowW: int64(rowWidth(n.out))}
-}
-
-// group finds or creates the key's group in its partition's table.
-func (p *partAgg) group(e *Ectx, h uint64, key []byte) (*groupTable, int) {
-	wid := e.W.ID
-	if p.parts[wid] == nil {
-		p.parts[wid] = make([]*groupTable, aggNumPartitions)
-	}
-	pid := aggPartition(h)
-	tab := p.parts[wid][pid]
-	if tab == nil {
-		tab = newGroupTable(p.rt.aggs)
-		p.parts[wid][pid] = tab
-	}
-	g := tab.find(h, key)
-	if g < 0 {
-		g = tab.insert(h, key)
-		e.writeBytes += p.rowW
-	}
-	return tab, g
-}
-
-func (p *partAgg) spill(*Ectx, uint64, []byte, []float64) {
-	panic("engine: the partitioned aggregation has no cold keys")
-}
-
-// producePartitionedAgg compiles the partitioned aggregation: partAgg's
-// phase 1, then the shared engine's phase 2. Node.partitioned picks it
-// for high group cardinality, where the shared table's capacity cap would
-// spill most keys as single-tuple partials anyway.
-func (c *compiler) producePartitionedAgg(n *Node, f consumerFactory) []tailJob {
-	p := c.newPartAgg(n)
-	tails := n.child.produce(c, func(pc *pipeCtx) consumer { return p.rt.consumer(pc, p) })
-
-	return p.rt.phase2("aggregate-part", tails, f, nil,
-		func() int64 {
-			var total int64
-			for wid := range p.parts {
-				for _, tab := range p.parts[wid] {
-					if tab != nil {
-						total += int64(tab.len())
-					}
-				}
-			}
-			return total
-		},
-		func(wid, pid int) *groupRows {
-			if p.parts[wid] == nil || p.parts[wid][pid] == nil {
-				return nil
-			}
-			return &p.parts[wid][pid].groupRows
-		})
+	rt := c.newAggRuntime(n)
+	return rt.phase2(n.child.produce(c, rt.consumer), f)
 }

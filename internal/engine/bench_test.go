@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/numa"
@@ -209,9 +210,9 @@ func BenchmarkHashJoinProbeIntKey(b *testing.B) {
 }
 
 // BenchmarkGroupByHighCard is the before/after for the group table:
-// 400k rows into 100k groups, so the shared engine runs its cold path
-// (the pre-aggregation table holds 16k groups) and the partitioned engine
-// creates a group for a quarter of its input.
+// 400k rows into 100k groups, which creates a group for a quarter of the
+// input. At the default cap every worker promotes part-way through; at 0
+// every worker starts promoted.
 func BenchmarkGroupByHighCard(b *testing.B) {
 	tb := storage.NewBuilder("bench", storage.Schema{
 		{Name: "hk", Type: storage.I64},
@@ -221,16 +222,18 @@ func BenchmarkGroupByHighCard(b *testing.B) {
 		tb.Append(storage.Row{int64(i % 100_000), float64(i%1000) / 3})
 	}
 	tbl := tb.Build(storage.NUMAAware, 4)
-	for _, algo := range aggEngines {
-		b.Run(algo.String(), func(b *testing.B) {
+	old := DefaultPreAggCapacity
+	defer func() { DefaultPreAggCapacity = old }()
+	for _, capacity := range []int{old, 0} {
+		DefaultPreAggCapacity = capacity
+		b.Run(fmt.Sprintf("cap=%d", capacity), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				s := benchSession()
 				p := NewPlan("bench")
 				p.Return(p.Scan(tbl, "hk", "v").
 					GroupBy([]NamedExpr{N("hk", Col("hk"))},
-						[]AggDef{Count("n"), Sum("s", Col("v")), MaxOf("m", Col("v"))}).
-					SetEst(algo.est))
+						[]AggDef{Count("n"), Sum("s", Col("v")), MaxOf("m", Col("v"))}))
 				res, _ := s.Run(p)
 				if res.NumRows() != 100_000 {
 					b.Fatalf("groups %d", res.NumRows())

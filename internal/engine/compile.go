@@ -271,9 +271,6 @@ func (n *Node) produce(c *compiler, f consumerFactory) []tailJob {
 	case nJoin:
 		return c.produceJoin(n, f)
 	case nAgg:
-		if n.partitioned() {
-			return c.producePartitionedAgg(n, f)
-		}
 		return c.produceAgg(n, f)
 	case nUnion:
 		var tails []tailJob

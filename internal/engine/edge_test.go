@@ -261,7 +261,7 @@ func TestCancellationMidQuery(t *testing.T) {
 }
 
 func TestTinyPreAggCapacityStress(t *testing.T) {
-	// Capacity 1 forces a spill on almost every tuple — the two-phase
+	// Capacity 1 promotes every worker at its second group — the two-phase
 	// aggregation must still be exact.
 	old := DefaultPreAggCapacity
 	DefaultPreAggCapacity = 1
@@ -269,7 +269,7 @@ func TestTinyPreAggCapacityStress(t *testing.T) {
 
 	tbl := ordersTable(3000, 23)
 	s := newTestSession(Sim)
-	p := NewPlan("spill")
+	p := NewPlan("promote")
 	p.Return(p.Scan(tbl, "o_cust").
 		GroupBy([]NamedExpr{N("c", Col("o_cust"))}, []AggDef{Count("n")}))
 	res, _ := s.Run(p)

@@ -358,7 +358,7 @@ func TestTeamJoin(t *testing.T) {
 
 func TestGroupByAllAggKinds(t *testing.T) {
 	tbl := ordersTable(3000, 9)
-	for _, capacity := range []int{4, 1 << 14} { // tiny capacity forces spills
+	for _, capacity := range []int{4, 1 << 14} { // tiny capacity forces promotion
 		old := DefaultPreAggCapacity
 		DefaultPreAggCapacity = capacity
 		s := newTestSession(Sim)

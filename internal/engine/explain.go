@@ -241,10 +241,6 @@ func describeNode(n *Node) string {
 			}
 			ab.WriteString(a.describe())
 		}
-		if n.partitioned() {
-			return fmt.Sprintf("agg partitioned [%s] aggs [%s] [phys: partitioned groups est=%.0f]",
-				gb.String(), ab.String(), n.estRows)
-		}
 		return fmt.Sprintf("groupby [%s] aggs [%s]", gb.String(), ab.String())
 	case nUnion:
 		return fmt.Sprintf("union (%d inputs)", len(n.children))

@@ -11,9 +11,8 @@ import (
 )
 
 // Property tests for groupTable (grouptable.go) against a plain map
-// oracle: the table on its own, and both aggregation engines built on it
-// with the pre-aggregation capacity shrunk so the shared engine's cold
-// path (spilling tuples without creating a group) carries most rows.
+// oracle: the table on its own, and the aggregation built on it with the
+// promotion cap shrunk so most workers promote to partition tables.
 
 var allAggs = []AggDef{
 	Sum("s", Col("v")), MinOf("lo", Col("v")), MaxOf("hi", Col("v")), Count("n"), Avg("a", Col("v")),
@@ -46,13 +45,13 @@ func (o *oracleAcc) matches(row []Val, off int) bool {
 // destination.
 func TestQuickGroupTableAgainstMap(t *testing.T) {
 	outTypes := []Type{TFloat, TFloat, TFloat, TInt, TFloat}
-	dst := newGroupTable(allAggs)
+	dst := newGroupTable(allAggs, 0, 0)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		want := map[string]*oracleAcc{}
 		srcs := make([]*groupTable, 1+rng.Intn(4))
 		for i := range srcs {
-			srcs[i] = newGroupTable(allAggs)
+			srcs[i] = newGroupTable(allAggs, 0, 0)
 		}
 		keyRange := 1 + rng.Intn(3000)
 		for i := rng.Intn(6000); i > 0; i-- {
@@ -76,7 +75,9 @@ func TestQuickGroupTableAgainstMap(t *testing.T) {
 		}
 		dst.reset()
 		for _, src := range srcs {
-			dst.mergeFrom(&src.groupRows)
+			for i := range src.hashes {
+				dst.mergeEntry(src, i)
+			}
 		}
 		if dst.len() != len(want) {
 			return false
@@ -101,15 +102,15 @@ func TestQuickGroupTableAgainstMap(t *testing.T) {
 	}
 }
 
-// TestQuickGroupByColdPath runs both engines, on the simulator and on
+// TestQuickGroupByPromotion runs the aggregation on the simulator and on
 // real goroutines across worker counts (the CI race job runs this), with
-// a pre-aggregation table of a few groups.
-func TestQuickGroupByColdPath(t *testing.T) {
+// the promotion cap at 0 to 8 groups, so workers promote at their first
+// group or part-way through, and at its default.
+func TestQuickGroupByPromotion(t *testing.T) {
 	old := DefaultPreAggCapacity
 	defer func() { DefaultPreAggCapacity = old }()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		DefaultPreAggCapacity = 1 + rng.Intn(8)
 		b := storage.NewBuilder("m", storage.Schema{
 			{Name: "k", Type: storage.I64},
 			{Name: "tag", Type: storage.Str},
@@ -129,7 +130,8 @@ func TestQuickGroupByColdPath(t *testing.T) {
 			want[id].add(v)
 		}
 		tbl := b.Build(storage.NUMAAware, 4)
-		for _, algo := range aggEngines {
+		for _, capacity := range []int{rng.Intn(9), old} {
+			DefaultPreAggCapacity = capacity
 			for _, workers := range []int{1, 2, 4, 8} {
 				for _, mode := range []Mode{Sim, Real} {
 					s := quickSession(rng)
@@ -137,8 +139,7 @@ func TestQuickGroupByColdPath(t *testing.T) {
 					s.Dispatch.Workers = workers
 					p := NewPlan("q")
 					p.Return(p.Scan(tbl, "k", "tag", "v").
-						GroupBy([]NamedExpr{N("k", Col("k")), N("tag", Col("tag"))}, allAggs).
-						SetEst(algo.est))
+						GroupBy([]NamedExpr{N("k", Col("k")), N("tag", Col("tag"))}, allAggs))
 					res, _ := s.Run(p)
 					if res.NumRows() != len(want) {
 						return false

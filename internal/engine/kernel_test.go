@@ -387,10 +387,6 @@ func exactRows(r *Result) []string {
 // an operator between the scan and the sink and so forces the row entry;
 // the extra column is projected away again.
 func viaRowSink(n *Node, groups []NamedExpr, aggs []AggDef) *Node {
-	return viaRowSinkAlgo(n, groups, aggs, aggEngines[0])
-}
-
-func viaRowSinkAlgo(n *Node, groups []NamedExpr, aggs []AggDef, algo aggChoice) *Node {
 	var names []string
 	for _, g := range groups {
 		names = append(names, g.Name)
@@ -398,67 +394,47 @@ func viaRowSinkAlgo(n *Node, groups []NamedExpr, aggs []AggDef, algo aggChoice) 
 	for _, a := range aggs {
 		names = append(names, a.Name)
 	}
-	return n.Map("$one", ConstI(1)).GroupBy(groups, aggs).SetEst(algo.est).Project(names...)
+	return n.Map("$one", ConstI(1)).GroupBy(groups, aggs).Project(names...)
 }
-
-// aggChoice selects one aggregation engine the way the compiler does:
-// through the aggregation's group estimate.
-type aggChoice struct {
-	name string
-	est  float64
-}
-
-func (a aggChoice) String() string { return a.name }
-
-// aggEngines are both engines' phase 1, which share the batch and the row
-// sink; the partitioned one needs group keys.
-var aggEngines = []aggChoice{{"shared", 0}, {"partitioned", partitionedAggMinGroups}}
 
 // TestBatchSinkMatchesRowSink is the differential for part three: every
-// shape, under filters keeping nothing, one group, and most rows, through
-// both engines — the shared one with its pre-aggregation table at its
-// default and shrunk until most keys take the cold path — on the simulator
-// and on one real worker, byte for byte.
+// shape, under filters keeping nothing, one group, and most rows, with the
+// promotion cap at its default (no worker promotes) and at 0, 1 and 5
+// (every grouped aggregation promotes, the batch sink mostly within a
+// chunk and the row sink at a row), on the simulator and on one real
+// worker, byte for byte.
 func TestBatchSinkMatchesRowSink(t *testing.T) {
 	old := DefaultPreAggCapacity
 	defer func() { DefaultPreAggCapacity = old }()
 	rng := rand.New(rand.NewSource(3))
 	tbl := sinkTable(rng, 9000, 300)
 	filters := []*Expr{nil, Lt(Col("k"), ConstI(0)), Eq(Col("k"), ConstI(17)), And(Ge(Col("k"), ConstI(20)), Like(Col("tag"), "t%"))}
-	for _, algo := range aggEngines {
-		for _, capacity := range []int{old, 0, 1, 5} {
-			if algo.name == "partitioned" && capacity != old {
-				continue // it has no capacity
-			}
-			DefaultPreAggCapacity = capacity
-			for si, shape := range sinkShapes() {
-				if algo.name == "partitioned" && len(shape.groups) == 0 {
-					continue
-				}
-				for fi, pred := range filters {
-					for _, mode := range []Mode{Sim, Real} {
-						s := newTestSession(mode)
-						s.Dispatch.Workers, s.Dispatch.MorselRows = 1, 1500
-						scan := func(p *Plan) *Node {
-							node := p.Scan(tbl, sinkCols...)
-							if pred != nil {
-								node = node.Filter(pred)
-							}
-							return node
+	for _, capacity := range []int{old, 0, 1, 5} {
+		DefaultPreAggCapacity = capacity
+		for si, shape := range sinkShapes() {
+			for fi, pred := range filters {
+				for _, mode := range []Mode{Sim, Real} {
+					s := newTestSession(mode)
+					s.Dispatch.Workers, s.Dispatch.MorselRows = 1, 1500
+					scan := func(p *Plan) *Node {
+						node := p.Scan(tbl, sinkCols...)
+						if pred != nil {
+							node = node.Filter(pred)
 						}
-						p := NewPlan("batch")
-						p.Return(scan(p).GroupBy(shape.groups, shape.aggs).SetEst(algo.est))
-						got, _ := s.Run(p)
-						p = NewPlan("rows")
-						p.Return(viaRowSinkAlgo(scan(p), shape.groups, shape.aggs, algo))
-						want, _ := s.Run(p)
-						if len(shape.groups) == 0 && got.NumRows() != 1 {
-							t.Errorf("shape %d filter %d: global aggregate returned %d rows", si, fi, got.NumRows())
-						}
-						if g, w := exactRows(got), exactRows(want); !slices.Equal(g, w) {
-							t.Errorf("%v capacity %d shape %d filter %d mode %v: batch sink differs from row sink\n got %v\nwant %v",
-								algo, capacity, si, fi, mode, firstDiff(g, w), firstDiff(w, g))
-						}
+						return node
+					}
+					p := NewPlan("batch")
+					p.Return(scan(p).GroupBy(shape.groups, shape.aggs))
+					got, _ := s.Run(p)
+					p = NewPlan("rows")
+					p.Return(viaRowSink(scan(p), shape.groups, shape.aggs))
+					want, _ := s.Run(p)
+					if len(shape.groups) == 0 && got.NumRows() != 1 {
+						t.Errorf("shape %d filter %d: global aggregate returned %d rows", si, fi, got.NumRows())
+					}
+					if g, w := exactRows(got), exactRows(want); !slices.Equal(g, w) {
+						t.Errorf("capacity %d shape %d filter %d mode %v: batch sink differs from row sink\n got %v\nwant %v",
+							capacity, si, fi, mode, firstDiff(g, w), firstDiff(w, g))
 					}
 				}
 			}
@@ -476,10 +452,10 @@ func firstDiff(a, b []string) string {
 	return fmt.Sprintf("(%d rows, all present)", len(a))
 }
 
-// TestBatchSinkAcrossWorkers runs a grouped shape through both engines on
-// several real workers (the race job's target): per-worker sums now depend
-// on which worker took which morsel, so floats are compared with a
-// tolerance.
+// TestBatchSinkAcrossWorkers runs a grouped shape on several real workers
+// (the race job's target), with the promotion cap at its default, at 3
+// and at 0: per-worker sums now depend on which worker took which morsel,
+// so floats are compared with a tolerance.
 func TestBatchSinkAcrossWorkers(t *testing.T) {
 	old := DefaultPreAggCapacity
 	defer func() { DefaultPreAggCapacity = old }()
@@ -501,23 +477,21 @@ func TestBatchSinkAcrossWorkers(t *testing.T) {
 		}
 	}
 	tbl := b.Build(storage.NUMAAware, 4)
-	for _, algo := range aggEngines {
-		for _, capacity := range []int{old, 3} {
-			DefaultPreAggCapacity = capacity
-			for _, workers := range []int{2, 8} {
-				s := newTestSession(Real)
-				s.Dispatch.Workers, s.Dispatch.MorselRows = workers, 700
-				p := NewPlan("q")
-				p.Return(p.Scan(tbl, "k", "tag", "v").Filter(Ge(Col("k"), ConstI(10))).
-					GroupBy([]NamedExpr{N("k", Col("k")), N("tag", Col("tag"))}, allAggs).SetEst(algo.est))
-				res, _ := s.Run(p)
-				if res.NumRows() != len(want) {
-					t.Fatalf("%v capacity %d, %d workers: %d groups, want %d", algo, capacity, workers, res.NumRows(), len(want))
-				}
-				for _, row := range res.Rows() {
-					if o := want[fmt.Sprintf("%d|%s", row[0].I, row[1].S)]; o == nil || !o.matches(row, 2) {
-						t.Fatalf("%v capacity %d, %d workers: group (%d, %s) wrong", algo, capacity, workers, row[0].I, row[1].S)
-					}
+	for _, capacity := range []int{old, 3, 0} {
+		DefaultPreAggCapacity = capacity
+		for _, workers := range []int{2, 8} {
+			s := newTestSession(Real)
+			s.Dispatch.Workers, s.Dispatch.MorselRows = workers, 700
+			p := NewPlan("q")
+			p.Return(p.Scan(tbl, "k", "tag", "v").Filter(Ge(Col("k"), ConstI(10))).
+				GroupBy([]NamedExpr{N("k", Col("k")), N("tag", Col("tag"))}, allAggs))
+			res, _ := s.Run(p)
+			if res.NumRows() != len(want) {
+				t.Fatalf("capacity %d, %d workers: %d groups, want %d", capacity, workers, res.NumRows(), len(want))
+			}
+			for _, row := range res.Rows() {
+				if o := want[fmt.Sprintf("%d|%s", row[0].I, row[1].S)]; o == nil || !o.matches(row, 2) {
+					t.Fatalf("capacity %d, %d workers: group (%d, %s) wrong", capacity, workers, row[0].I, row[1].S)
 				}
 			}
 		}
@@ -668,8 +642,8 @@ func TestLongStringGroupKey(t *testing.T) {
 // TestScanMorselAllocatesNothing: selection, vectors, group ids and the
 // placed rows' inputs are borrowed from the scratch pool, so once the
 // worker's context and the groups exist a morsel through filter kernels
-// and the batch sink of either engine allocates nothing — the shared
-// engine's table and cold path, and the partitioned engine's tables.
+// and the batch sink allocates nothing, into the worker's one table or
+// into the partition tables of a promoted worker.
 func TestScanMorselAllocatesNothing(t *testing.T) {
 	old := DefaultPreAggCapacity
 	defer func() { DefaultPreAggCapacity = old }()
@@ -686,32 +660,17 @@ func TestScanMorselAllocatesNothing(t *testing.T) {
 	m := storage.Morsel{Part: tbl.Parts[0], Begin: 0, End: tbl.Parts[0].Rows()}
 	for _, capacity := range []int{old, 1} {
 		DefaultPreAggCapacity = capacity
-		sa := c.newSharedAgg(agg)
-		pa := c.newPartAgg(agg)
-		for _, eng := range []aggEngine{sa, pa} {
-			_, body := c.scanPipe(scan.out, scan.scanSrc, scan.filter, func(pc *pipeCtx) consumer {
-				return consumer{batch: sa.rt.batchSink(pc, eng)}
-			})
-			body(w, m) // creates the context and the groups
-			if allocs := morselAllocs(20, func() {
-				if capacity == 1 {
-					for i := range sa.spills[0] {
-						sa.spills[0][i].reset() // the cold key's spill run would grow
-					}
-				}
-				body(w, m)
-			}); allocs != 0 {
-				t.Errorf("%T, capacity %d: a steady-state morsel allocates %v times", eng, capacity, allocs)
-			}
+		rt := c.newAggRuntime(agg)
+		_, body := c.scanPipe(scan.out, scan.scanSrc, scan.filter, func(pc *pipeCtx) consumer {
+			return consumer{batch: rt.batchSink(pc)}
+		})
+		body(w, m) // creates the context and the groups
+		if allocs := morselAllocs(20, func() { body(w, m) }); allocs != 0 {
+			t.Errorf("capacity %d: a steady-state morsel allocates %v times", capacity, allocs)
 		}
-		groups := 0
-		for _, tab := range pa.parts[0] {
-			if tab != nil {
-				groups += tab.len()
-			}
-		}
-		if got := sa.locals[0].len(); got != min(2, capacity) || groups != 2 {
-			t.Errorf("capacity %d: %d shared groups, %d partitioned ones; want %d and 2", capacity, got, groups, min(2, capacity))
+		promoted := rt.locals[0].parts != nil
+		if groups := rt.groupCount(); groups != 2 || promoted != (capacity < 2) {
+			t.Errorf("capacity %d: %d groups, promoted %v; want 2 groups, promoted %v", capacity, groups, promoted, capacity < 2)
 		}
 	}
 }

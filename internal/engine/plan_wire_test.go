@@ -48,7 +48,7 @@ func TestPlanWireRoundTrip(t *testing.T) {
 		GroupBy(
 			[]NamedExpr{N("label", Col("label"))},
 			[]AggDef{Sum("s", Col("v2")), Count("c"), MinOf("lo", Col("v")), MaxOf("hi", Col("v")), Avg("av", Col("v"))}).
-		SetEst(partitionedAggMinGroups)
+		SetEst(4096)
 	p.ReturnSorted(n.Project("label", "s", "c", "lo", "hi", "av"), 5, Asc("label"), Desc("s"))
 
 	data, err := EncodePlan(p)
@@ -62,10 +62,9 @@ func TestPlanWireRoundTrip(t *testing.T) {
 	if got, want := dp.Explain(), p.Explain(); got != want {
 		t.Fatalf("explain drift:\n--- original\n%s\n--- decoded\n%s", want, got)
 	}
-	// The wire carries the estimate, not the engine: the receiver picks
-	// the partitioned aggregation from it.
-	if !strings.Contains(dp.Explain(), "agg partitioned [label]") {
-		t.Fatalf("decoded aggregation is not partitioned:\n%s", dp.Explain())
+	// The wire carries the aggregation's estimate.
+	if !strings.Contains(dp.Explain(), "aggs [sum(v2) AS s, count(*) AS c, min(v) AS lo, max(v) AS hi, avg(v) AS av] est=4096") {
+		t.Fatalf("decoded aggregation lost its estimate:\n%s", dp.Explain())
 	}
 	s := newTestSession(Sim)
 	wantRes, _ := s.Run(p)

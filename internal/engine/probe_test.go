@@ -690,10 +690,12 @@ func TestLateFillBehindProbes(t *testing.T) {
 // TestProbeBatchAllocatesNothingPerMorsel: hashes, heads, candidates and
 // pair lists are borrowed from the scratch pool, so once the worker's
 // context, the hash table and the groups exist, a morsel through a chain
-// of batch probes — overflow flushes included — into either aggregation
-// engine allocates nothing. (A chain into a batch build is
-// TestBuildBatchAllocatesNothingPerMorsel.)
+// of batch probes — overflow flushes included — into the aggregation,
+// unpromoted or promoted, allocates nothing. (A chain into a batch build
+// is TestBuildBatchAllocatesNothingPerMorsel.)
 func TestProbeBatchAllocatesNothingPerMorsel(t *testing.T) {
+	old := DefaultPreAggCapacity
+	defer func() { DefaultPreAggCapacity = old }()
 	rng := rand.New(rand.NewSource(28))
 	builds := newProbeBuilds(rng)
 	fact := probeFact(rng, 3*scanChunkRows+7, 1)
@@ -703,20 +705,17 @@ func TestProbeBatchAllocatesNothingPerMorsel(t *testing.T) {
 		{kind: JoinSemi, build: builds.unique, keys: [][2]string{{"b0p", "bi"}}},
 		{kind: JoinOuterProbe, build: builds.unique, keys: keyShapes["string"], payload: []string{"bq", "br"}, residual: true},
 	}
-	for _, partitioned := range []bool{false, true} {
+	for _, capacity := range []int{old, 0} {
+		DefaultPreAggCapacity = capacity
 		p := chainPlan(fact, probeFilters["filtered"], steps, false, true)
 		c := &compiler{sess: s, q: dispatch.NewQuery(p.Name), workers: 1, sockets: s.Machine.Topo.Sockets,
 			joins: make(map[*Node]*joinCompiled), mats: make(map[*Node]*matCompiled)}
 		agg := p.root
-		sa, pa := c.newSharedAgg(agg), c.newPartAgg(agg)
-		var eng aggEngine = sa
-		if partitioned {
-			eng = pa
-		}
+		rt := c.newAggRuntime(agg)
 		var chain *pipeCtx
 		tails := agg.child.produce(c, func(pc *pipeCtx) consumer {
 			chain = pc
-			return consumer{row: sa.rt.sink(pc, eng)}
+			return consumer{row: rt.sink(pc)}
 		})
 		if len(chain.probes) != 3 {
 			t.Fatalf("%d batch probes, want 3", len(chain.probes))
@@ -726,23 +725,15 @@ func TestProbeBatchAllocatesNothingPerMorsel(t *testing.T) {
 		r.Run(dispatch.Arrival{Query: c.q}) // builds the tables, creates the context and the groups
 		w := r.Workers()[0]
 		m := storage.Morsel{Part: fact.Parts[0], Begin: 0, End: fact.Parts[0].Rows()}
-		groups := func() (n int) {
-			if !partitioned {
-				return sa.locals[0].len()
-			}
-			for _, tab := range pa.parts[0] {
-				if tab != nil {
-					n += tab.len()
-				}
-			}
-			return n
+		if promoted := rt.locals[0].parts != nil; promoted != (capacity == 0) {
+			t.Errorf("capacity %d: promoted %v", capacity, promoted)
 		}
-		before := groups()
+		before := rt.groupCount()
 		if allocs := morselAllocs(20, func() { tails[0].Run(w, m) }); allocs != 0 {
-			t.Errorf("partitioned=%v: a steady-state morsel through three batch probes allocates %v times", partitioned, allocs)
+			t.Errorf("capacity %d: a steady-state morsel through three batch probes allocates %v times", capacity, allocs)
 		}
-		if before == 0 || groups() != before {
-			t.Errorf("partitioned=%v: groups went from %d to %d", partitioned, before, groups())
+		if before == 0 || rt.groupCount() != before {
+			t.Errorf("capacity %d: groups went from %d to %d", capacity, before, rt.groupCount())
 		}
 	}
 }

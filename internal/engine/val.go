@@ -5,8 +5,8 @@
 // chunk at a time and pass (scan row, build ref) pair lists down a chain of
 // joins, and the two pipeline breakers that take such a chunk whole: the
 // hash-join build, which gathers it into the worker's storage area, and
-// aggregation phase 1 of both engines, all over a morsel's typed column
-// slices (kernel.go, join.go, agg.go) — ahead of a register file of Vals,
+// aggregation phase 1, all over a morsel's typed column slices (kernel.go,
+// join.go, agg.go) — ahead of a register file of Vals,
 // filled only for the rows that leave the last batch stage, that carries
 // them through the row-at-a-time operators (and the breakers behind them),
 // expression evaluation, and the paper's parallel operators — pipelined

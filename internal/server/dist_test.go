@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/exchange"
 	"repro/internal/tpch"
 )
@@ -147,14 +148,14 @@ func TestClusterExplainDistributed(t *testing.T) {
 }
 
 // TestClusterPartitionedAggregation runs a high-NDV GROUP BY across two
-// nodes: its group estimate is above the engine's partitioned-aggregation
-// threshold, so every node's partial aggregation and the coordinator's
-// merge over the live gather stream run the partitioned engine, as the
-// single-node plan does, and the result must equal the single-node one.
-// TPC-H Q7 (est 4307) and Q10 (est 4460) just cross the threshold at this
-// cluster's SF 0.01 too and run the same check without the plan pin; Q3
-// (est 3138) stays shared here.
+// nodes with the engine's promotion cap at one group, so every worker of
+// every node's partial aggregation and of the coordinator's merge over the
+// live gather stream promotes to partition tables, and the result must
+// equal the single-node one at the default cap. TPC-H Q7 and Q10 run the
+// same check.
 func TestClusterPartitionedAggregation(t *testing.T) {
+	old := engine.DefaultPreAggCapacity
+	defer func() { engine.DefaultPreAggCapacity = old }()
 	servers, db := newTestCluster(t, 2)
 	const highNDV = `SELECT l_orderkey, SUM(l_quantity) AS qty, COUNT(*) AS n,
 		MIN(l_shipdate) AS first_ship, AVG(l_extendedprice) AS avg_price
@@ -163,25 +164,27 @@ func TestClusterPartitionedAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(single.Plan, "agg partitioned"); n != 1 {
-		t.Fatalf("single-node plan has %d partitioned aggregations, want 1:\n%s", n, single.Plan)
+	if n := strings.Count(single.Plan, "groupby [l_orderkey]"); n != 1 {
+		t.Fatalf("single-node plan has %d aggregations, want 1:\n%s", n, single.Plan)
 	}
 	dist, err := servers[0].Submit(context.Background(), &Request{SQL: highNDV, Explain: true, Distributed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(dist.Plan, "agg partitioned"); !dist.Distributed || n != 2 {
-		t.Fatalf("distributed plan has %d partitioned aggregations, want the partial and the merge:\n%s", n, dist.Plan)
+	if n := strings.Count(dist.Plan, "groupby [l_orderkey]"); !dist.Distributed || n != 2 {
+		t.Fatalf("distributed plan has %d aggregations, want the partial and the merge:\n%s", n, dist.Plan)
 	}
 	for name, q := range map[string]string{
 		"high-NDV GROUP BY": highNDV,
 		"q7":                tpch.MustSQLText(7, db.Cfg.SF),
 		"q10":               tpch.MustSQLText(10, db.Cfg.SF),
 	} {
+		engine.DefaultPreAggCapacity = old
 		want, err := servers[0].Submit(context.Background(), &Request{SQL: q})
 		if err != nil {
 			t.Fatalf("%s single-node: %v", name, err)
 		}
+		engine.DefaultPreAggCapacity = 1
 		for i, s := range servers {
 			got, err := s.Submit(context.Background(), &Request{SQL: q, Distributed: true})
 			if err != nil {

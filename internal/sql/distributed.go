@@ -243,9 +243,9 @@ type aggSplit struct {
 	aggs    []engine.AggDef
 	partial []engine.AggDef
 	// est is the single-node aggregation's group estimate. Every phase
-	// carries it, because the engine picks each aggregation's table from
-	// its estimate: the partials and the merge then run on the engine the
-	// single-node plan would, whatever the merge's input estimates.
+	// carries it, so EXPLAIN and whatever is planned above the merge see
+	// the single-node plan's estimate, whatever the merge's input
+	// estimates.
 	est float64
 }
 

@@ -26,7 +26,7 @@ func TestExplainDocExamples(t *testing.T) {
 		{"emp/dept join+groupby", testCatalog(),
 			`SELECT dname, COUNT(*) AS n FROM emp, dept WHERE dept = did AND salary > 1200.0 GROUP BY dname ORDER BY n DESC, dname`},
 		{"TPC-H Q16", tpchCatalog(), tpch.MustSQLText(16, 1)},
-		{"physical selection (partitioned agg)", tpchCatalog(),
+		{"high-NDV aggregation", tpchCatalog(),
 			"SELECT l_orderkey, o_orderdate, SUM(l_quantity) AS qty\nFROM lineitem, orders\nWHERE l_orderkey = o_orderkey\nGROUP BY l_orderkey, o_orderdate\nORDER BY l_orderkey, o_orderdate"},
 	} {
 		p, err := Compile(ex.query, ex.cat)

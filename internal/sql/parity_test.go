@@ -18,9 +18,9 @@ import (
 // operator selection"): testdata/tpch_hash_parent.golden holds the 22
 // TPC-H results captured at the last commit that still had the sort-merge
 // join, with every join forced to hash. The hash join is now the only
-// join, so the plan must reproduce that file with its aggregations on
-// either engine (physCompile), on every worker count and runner. Integers and strings are compared
-// exactly; float aggregates go through sameResults' relative tolerance,
+// join, so the plan must reproduce that file at every aggregation
+// promotion cap (promotionCaps), on every worker count and runner.
+// Integers and strings are compared exactly; float aggregates go through sameResults' relative tolerance,
 // because parallel summation order moves their last bits from run to run.
 
 var updateParity = flag.Bool("update-parity", false, "rewrite testdata/tpch_hash_parent.golden from the current engine")
@@ -37,7 +37,7 @@ func writeParityGolden(t *testing.T, s *engine.Session) string {
 	cat := tpchCatalog()
 	var b strings.Builder
 	for _, n := range tpch.SQLCoverage() {
-		res, _ := s.Run(physCompile(t, tpch.MustSQLText(n, tpchDB.Cfg.SF), cat, "auto"))
+		res, _ := s.Run(mustCompile(t, tpch.MustSQLText(n, tpchDB.Cfg.SF), cat))
 		fmt.Fprintf(&b, "# Q%d", n)
 		for _, r := range res.Schema {
 			fmt.Fprintf(&b, "\t%s:%s", r.Name, r.Type)
@@ -143,17 +143,18 @@ func TestTPCHHashParityWithParent(t *testing.T) {
 		workerCounts = []int{2}
 	}
 	cat := tpchCatalog()
-	for _, agg := range []string{"auto", "shared", "partitioned"} {
+	for _, pc := range promotionCaps {
 		for _, workers := range workerCounts {
 			for _, mode := range []engine.Mode{engine.Sim, engine.Real} {
-				name := fmt.Sprintf("agg=%s/workers=%d/real=%v", agg, workers, mode == engine.Real)
+				name := fmt.Sprintf("agg=%s/workers=%d/real=%v", pc.label, workers, mode == engine.Real)
 				t.Run(name, func(t *testing.T) {
+					defer setPromotionCap(pc.capacity)()
 					s := engine.NewSession(numa.NehalemEXMachine())
 					s.Mode = mode
 					s.Dispatch.Workers = workers
 					s.Dispatch.MorselRows = 1000
 					for _, n := range tpch.SQLCoverage() {
-						p := physCompile(t, tpch.MustSQLText(n, tpchDB.Cfg.SF), cat, agg)
+						p := mustCompile(t, tpch.MustSQLText(n, tpchDB.Cfg.SF), cat)
 						got, _ := s.Run(p)
 						for i, r := range got.Schema {
 							if w := want[n].Schema[i]; r != w {
